@@ -87,18 +87,15 @@ let engine_arg =
     & opt
         (enum
            [
-             ("reference", Nv_vm.Memory.Reference);
-             ("icache", Nv_vm.Memory.Icache);
-             ("block", Nv_vm.Memory.Block);
+             ("reference", Nv_vm.Memory.Reference); ("block", Nv_vm.Memory.Block);
            ])
         (Nv_vm.Memory.default_engine ())
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Execution tier the profiled server runs under: $(b,reference), \
-           $(b,icache) or $(b,block). The fleet report derives from \
-           engine-independent instruction counts, so this only changes \
-           profiling wall-clock time. Defaults to $(b,NV_ENGINE), falling \
-           back to $(b,icache).")
+          "Execution tier the profiled server runs under: $(b,block) or \
+           $(b,reference). The fleet report derives from engine-independent \
+           instruction counts, so this only changes profiling wall-clock \
+           time. Defaults to $(b,NV_ENGINE), falling back to $(b,block).")
 
 let metrics_arg =
   Arg.(

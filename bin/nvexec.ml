@@ -94,20 +94,18 @@ let engine_arg =
     & opt
         (enum
            [
-             ("reference", Nv_vm.Memory.Reference);
-             ("icache", Nv_vm.Memory.Icache);
-             ("block", Nv_vm.Memory.Block);
+             ("reference", Nv_vm.Memory.Reference); ("block", Nv_vm.Memory.Block);
            ])
         (Nv_vm.Memory.default_engine ())
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Execution tier for every variant: $(b,reference) (byte-at-a-time \
-           decoder), $(b,icache) (predecoded instruction cache) or $(b,block) \
-           (basic-block superinstruction compiler). All three are \
+          "Execution tier for every variant: $(b,block) (basic-block \
+           superinstruction compiler over a decode cache) or $(b,reference) \
+           (byte-at-a-time decoder, the differential oracle). Both are \
            observationally identical — same outcomes, alarms and instruction \
            counts — so pinning a tier is for differential debugging and \
            performance comparison. Defaults to the $(b,NV_ENGINE) environment \
-           variable, falling back to $(b,icache).")
+           variable, falling back to $(b,block).")
 
 let recover_arg =
   Arg.(

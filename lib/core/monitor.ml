@@ -55,7 +55,7 @@ type arrival =
   | A_raised of exn * Printexc.raw_backtrace
 
 (* Concurrency discipline (see docs/architecture.md, "Concurrency"):
-   while released, each variant's [Image.loaded] (CPU, memory, icache)
+   while released, each variant's [Image.loaded] (CPU, memory, decoded pages)
    plus its own [delivered.(i)] slot are owned by the domain pinned to
    that variant; everything else — the kernel, the metrics registry,
    [t.signal], the tracer, the metric-handle caches, [canon_scratch],
@@ -137,7 +137,7 @@ let create ?metrics ?parallel ?engine
             ~tag:spec.Variation.tag
         in
         (* Every variant runs the same execution tier; unset, segments
-           keep their creation default (NV_ENGINE or the icache). *)
+           keep their creation default (NV_ENGINE or the block engine). *)
         Option.iter (Memory.set_engine loaded.Image.memory) engine;
         loaded)
       images
@@ -388,20 +388,22 @@ let deliver_same t result =
    callback (raw argument images included) and, when the flight
    recorder is on, a [Note] in the coordinator ring. Both run on the
    coordinating domain at points where every variant is parked, so the
-   retired-total timestamp is mode-independent. *)
-let trace t ~syscall ~raws note =
+   retired-total timestamp is mode-independent. Callers format a note
+   only when [notes_wanted] holds: with neither reader, the rendezvous
+   path builds no strings. *)
+let notes_wanted t = Trace.enabled t.trace || Option.is_some t.tracer
+
+let note t ~ts ~syscall ev_raw_args text =
   (if Trace.enabled t.trace then
-     Trace.note t.trace_coord ~ts:(instructions_retired t)
-       (Printf.sprintf "[%s] %s" (Syscall.name syscall) note));
+     Trace.note t.trace_coord ~ts (Printf.sprintf "[%s] %s" (Syscall.name syscall) text));
   match t.tracer with
   | None -> ()
-  | Some f ->
-    f
-      {
-        ev_syscall = syscall;
-        ev_raw_args = Array.map (fun (r : Sysabi.raw) -> Array.copy r.Sysabi.args) raws;
-        ev_note = note;
-      }
+  | Some f -> f { ev_syscall = syscall; ev_raw_args = ev_raw_args (); ev_note = text }
+
+let trace t ~syscall ~raws text =
+  note t ~ts:(instructions_retired t) ~syscall
+    (fun () -> Array.map (fun (r : Sysabi.raw) -> Array.copy r.Sysabi.args) raws)
+    text
 
 (* ------------------------------------------------------------------ *)
 (* Relaxed monitoring                                                  *)
@@ -469,6 +471,12 @@ let relaxed_call t i ~cred ~trace_args n =
     rc_raw;
   }
 
+(* The note of a deferred position, stamped with the position's retired
+   total [now]; the tracer sees the raw arguments each variant
+   recorded. *)
+let relaxed_note t ~now ~syscall records text =
+  note t ~ts:now ~syscall (fun () -> Array.map (fun r -> r.rc_raw) records) text
+
 (* Cross-check one deferred position: the [i]-th record of every
    variant's queue, popped together. Metric and trace order replays the
    eager rendezvous exactly — rendezvous count, syscall-number check,
@@ -495,20 +503,7 @@ let flush_position t (records : relaxed_record array) =
     (latency_histogram t syscall)
     (float_of_int (now - t.last_rendezvous_instr));
   t.last_rendezvous_instr <- now;
-  let trace note =
-    (if Trace.enabled t.trace then
-       Trace.note t.trace_coord ~ts:now
-         (Printf.sprintf "[%s] %s" (Syscall.name syscall) note));
-    match t.tracer with
-    | None -> ()
-    | Some f ->
-      f
-        {
-          ev_syscall = syscall;
-          ev_raw_args = Array.map (fun r -> r.rc_raw) records;
-          ev_note = note;
-        }
-  in
+  let notes = notes_wanted t in
   let scratch = t.canon_scratch in
   (if
      syscall = Syscall.sys_getuid
@@ -525,21 +520,25 @@ let flush_position t (records : relaxed_record array) =
        else if syscall = Syscall.sys_getgid then Kernel.sys_getgid k
        else Kernel.sys_getegid k
      in
-     trace
-       (Format.asprintf "%s -> canonical %a, reexpressed per variant"
-          (Syscall.name syscall) Word.pp canonical)
+     if notes then
+       relaxed_note t ~now ~syscall records
+         (Format.asprintf "%s -> canonical %a, reexpressed per variant"
+            (Syscall.name syscall) Word.pp canonical)
    end
    else if syscall = Syscall.sys_uid_value then begin
      Array.iteri (fun i r -> scratch.(i) <- r.rc_c0) records;
      check_scratch t ~syscall ~index:0;
-     trace
-       (Format.asprintf "uid_value: canonical %a equivalent in all variants" Word.pp
-          scratch.(0))
+     if notes then
+       relaxed_note t ~now ~syscall records
+         (Format.asprintf "uid_value: canonical %a equivalent in all variants" Word.pp
+            scratch.(0))
    end
    else if syscall = Syscall.sys_cond_chk then begin
      let values = Array.map (fun r -> r.rc_a0) records in
      check t ~fail:(fun () -> Alarm.Cond_mismatch { values }) (all_equal values);
-     trace (Printf.sprintf "cond_chk(%d): paths agree" values.(0))
+     if notes then
+       relaxed_note t ~now ~syscall records
+         (Printf.sprintf "cond_chk(%d): paths agree" values.(0))
    end
    else begin
      Array.iteri (fun i r -> scratch.(i) <- r.rc_c0) records;
@@ -548,9 +547,10 @@ let flush_position t (records : relaxed_record array) =
      Array.iteri (fun i r -> scratch.(i) <- r.rc_c1) records;
      check_scratch t ~syscall ~index:1;
      let b = scratch.(0) in
-     trace
-       (Format.asprintf "%s(%a, %a) = %b on canonical values" (Syscall.name syscall)
-          Word.pp a Word.pp b (cc_compute syscall a b))
+     if notes then
+       relaxed_note t ~now ~syscall records
+         (Format.asprintf "%s(%a, %a) = %b on canonical values" (Syscall.name syscall)
+            Word.pp a Word.pp b (cc_compute syscall a b))
    end);
   Metrics.incr t.relaxed_checks_c;
   t.flush_batch <- t.flush_batch + 1
@@ -607,7 +607,9 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
   | n when n = Syscall.sys_exit ->
     let statuses = Array.map (fun (r : Sysabi.raw) -> Word.to_signed r.Sysabi.args.(0)) raws in
     check t ~fail:(fun () -> Alarm.Exit_mismatch { statuses }) (all_equal statuses);
-    trace t ~syscall ~raws (Printf.sprintf "exit(%d) checked across variants" statuses.(0));
+    if notes_wanted t then
+      trace t ~syscall ~raws
+        (Printf.sprintf "exit(%d) checked across variants" statuses.(0));
     ignore (Kernel.sys_exit k ~status:statuses.(0));
     Some (Exited statuses.(0))
   | n when n = Syscall.sys_read ->
@@ -630,8 +632,9 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       | Some perturb when count > 0 ->
         (* Fault injection: each variant receives a possibly-perturbed
            copy of the replicated input, with its own byte count. *)
-        trace t ~syscall ~raws
-          (Printf.sprintf "read(%d): %d bytes replicated with fault injection" fd count);
+        if notes_wanted t then
+          trace t ~syscall ~raws
+            (Printf.sprintf "read(%d): %d bytes replicated with fault injection" fd count);
         let chunks =
           Array.init (Array.length t.variants) (fun i -> perturb ~variant:i bytes)
         in
@@ -645,9 +648,10 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
           bufs;
         deliver t (Array.map (fun c -> Word.mask (String.length c)) chunks)
       | Some _ | None ->
-        trace t ~syscall ~raws
-          (Printf.sprintf "read(%d): performed once, %d bytes replicated to all variants" fd
-             count);
+        if notes_wanted t then
+          trace t ~syscall ~raws
+            (Printf.sprintf "read(%d): performed once, %d bytes replicated to all variants"
+               fd count);
         Array.iteri
           (fun i buf ->
             if count > 0 then
@@ -657,8 +661,9 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
           bufs;
         deliver_same t (Word.of_signed count))
     | Kernel.Per_variant chunks ->
-      trace t ~syscall ~raws
-        (Printf.sprintf "read(%d): unshared file, each variant reads its own copy" fd);
+      if notes_wanted t then
+        trace t ~syscall ~raws
+          (Printf.sprintf "read(%d): unshared file, each variant reads its own copy" fd);
       Array.iteri
         (fun i buf ->
           let bytes = chunks.(i) in
@@ -692,7 +697,8 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
         bufs
     in
     if Kernel.fd_is_unshared k ~fd then begin
-      trace t ~syscall ~raws "write: unshared file, each variant writes its own copy";
+      if notes_wanted t then
+        trace t ~syscall ~raws "write: unshared file, each variant writes its own copy";
       deliver_same t (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Per_variant chunks)))
     end
     else begin
@@ -703,20 +709,20 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
         ~fail:(fun () -> Alarm.Output_mismatch { syscall; fd })
         (all_equal chunks);
       Metrics.incr t.output_writes_checked_c;
-      trace t ~syscall ~raws
-        (Printf.sprintf "write(%d): bytes checked equal, performed once" fd);
+      if notes_wanted t then
+        trace t ~syscall ~raws
+          (Printf.sprintf "write(%d): bytes checked equal, performed once" fd);
       deliver_same t (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Shared_data chunks.(0))))
     end;
     continue_
   | n when n = Syscall.sys_open ->
     let path = canon_string t ~raws ~syscall ~index:0 in
     let flags = Word.to_signed (canon_int t ~raws ~syscall ~index:1) in
-    let note =
-      if Kernel.is_unshared k path then
-        Printf.sprintf "open(%S): unshared, variant i gets %s-i" path path
-      else Printf.sprintf "open(%S): shared descriptor" path
-    in
-    trace t ~syscall ~raws note;
+    if notes_wanted t then
+      trace t ~syscall ~raws
+        (if Kernel.is_unshared k path then
+           Printf.sprintf "open(%S): unshared, variant i gets %s-i" path path
+         else Printf.sprintf "open(%S): shared descriptor" path);
     deliver_same t (Word.of_signed (Kernel.sys_open k ~path ~flags));
     continue_
   | n when n = Syscall.sys_close ->
@@ -734,8 +740,9 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       Some Blocked_on_accept
     end
     else begin
-      trace t ~syscall ~raws
-        (Printf.sprintf "accept(%d) -> fd %d for all variants" listen_fd fd);
+      if notes_wanted t then
+        trace t ~syscall ~raws
+          (Printf.sprintf "accept(%d) -> fd %d for all variants" listen_fd fd);
       deliver_same t (Word.of_signed fd);
       continue_
     end
@@ -751,9 +758,10 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       Array.init (Array.length t.variants) (fun i ->
           (uid_spec t i).Reexpression.encode canonical)
     in
-    trace t ~syscall ~raws
-      (Format.asprintf "%s -> canonical %a, reexpressed per variant" (Syscall.name n)
-         Word.pp canonical);
+    if notes_wanted t then
+      trace t ~syscall ~raws
+        (Format.asprintf "%s -> canonical %a, reexpressed per variant" (Syscall.name n)
+           Word.pp canonical);
     deliver t per_variant;
     continue_
   | n when n = Syscall.sys_setuid || n = Syscall.sys_seteuid || n = Syscall.sys_setgid
@@ -765,18 +773,20 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       else if n = Syscall.sys_setgid then Kernel.sys_setgid k ~gid:canonical
       else Kernel.sys_setegid k ~gid:canonical
     in
-    trace t ~syscall ~raws
-      (Format.asprintf "%s: R_i^-1 applied, canonical %a agreed, performed once"
-         (Syscall.name n) Word.pp canonical);
+    if notes_wanted t then
+      trace t ~syscall ~raws
+        (Format.asprintf "%s: R_i^-1 applied, canonical %a agreed, performed once"
+           (Syscall.name n) Word.pp canonical);
     deliver_same t (Word.of_signed result);
     continue_
   | n when n = Syscall.sys_uid_value ->
     (* Table 2: compare across variants (post-inverse), return the
        passed (still reexpressed) value to each variant. *)
     let canonical = canon_uid t ~raws ~syscall ~index:0 in
-    trace t ~syscall ~raws
-      (Format.asprintf "uid_value: canonical %a equivalent in all variants" Word.pp
-         canonical);
+    if notes_wanted t then
+      trace t ~syscall ~raws
+        (Format.asprintf "uid_value: canonical %a equivalent in all variants" Word.pp
+           canonical);
     deliver t (Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(0)) raws);
     continue_
   | n when n = Syscall.sys_cond_chk ->
@@ -784,7 +794,8 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
        variants or the variants are taking different paths. *)
     let values = Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(0)) raws in
     check t ~fail:(fun () -> Alarm.Cond_mismatch { values }) (all_equal values);
-    trace t ~syscall ~raws (Printf.sprintf "cond_chk(%d): paths agree" values.(0));
+    if notes_wanted t then
+      trace t ~syscall ~raws (Printf.sprintf "cond_chk(%d): paths agree" values.(0));
     deliver_same t values.(0);
     continue_
   | n when Syscall.is_detection_call n ->
@@ -793,13 +804,15 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     let a = canon_uid t ~raws ~syscall ~index:0 in
     let b = canon_uid t ~raws ~syscall ~index:1 in
     let result = cc_compute n a b in
-    trace t ~syscall ~raws
-      (Format.asprintf "%s(%a, %a) = %b on canonical values" (Syscall.name n) Word.pp a
-         Word.pp b result);
+    if notes_wanted t then
+      trace t ~syscall ~raws
+        (Format.asprintf "%s(%a, %a) = %b on canonical values" (Syscall.name n) Word.pp a
+           Word.pp b result);
     deliver_same t (if result then 1 else 0);
     continue_
   | _ ->
-    trace t ~syscall ~raws "unknown syscall: -1 to all variants";
+    if notes_wanted t then
+      trace t ~syscall ~raws "unknown syscall: -1 to all variants";
     deliver_same t (Word.of_signed (-1));
     continue_
 
@@ -1081,10 +1094,6 @@ let run_round_parallel t links coord_bell ~released ~fuel ~cred ~relaxed_ok ~tra
     let progress = ref false in
     for i = 0 to n - 1 do
       if waiting.(i) then begin
-        (* A producer only parks on a full ring, and nothing but this
-           loop drains it — so "full at drain start" is exactly the
-           case where a wake may be owed afterwards. *)
-        let was_full = Spsc.length links.(i).lk_evt >= Spsc.capacity links.(i).lk_evt in
         let drained = ref false in
         let continue_ = ref true in
         while !continue_ do
@@ -1100,9 +1109,14 @@ let run_round_parallel t links coord_bell ~released ~fuel ~cred ~relaxed_ok ~tra
             decr pending;
             continue_ := false
         done;
+        (* A producer parks on a full ring, and nothing but this loop
+           drains it. The ring can fill up while the drain is running
+           (the producer outpacing a descheduled coordinator), so any
+           drain may owe a wake; ringing an awake producer costs one
+           atomic load. *)
         if !drained then begin
           progress := true;
-          if was_full then bell_ring links.(i).lk_bell
+          bell_ring links.(i).lk_bell
         end
       end
     done;

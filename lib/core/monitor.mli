@@ -64,8 +64,9 @@ val create :
     ({!Nv_util.Dompool.env_default}).
 
     [engine] pins every variant segment's execution tier
-    ({!Nv_vm.Memory.engine}); when omitted, segments keep their
-    creation default ([NV_ENGINE] or the icache). *)
+    ({!Nv_vm.Memory.engine}: the [Block] compiler or the [Reference]
+    oracle); when omitted, segments keep their creation default
+    ([NV_ENGINE], otherwise [Block]). *)
 
 val kernel : t -> Nv_os.Kernel.t
 
@@ -145,7 +146,9 @@ val stats : t -> stats
     would watch. *)
 
 val set_tracer : t -> (event -> unit) -> unit
-(** Install a rendezvous observer (Figure 2 demo). *)
+(** Install a rendezvous observer (Figure 2 demo). Rendezvous notes
+    are only formatted while a tracer is installed or the flight
+    recorder is enabled; otherwise the monitor builds no strings. *)
 
 (** {1 Flight recorder}
 
@@ -229,8 +232,11 @@ val snapshot : t -> snapshot
 val restore : t -> snapshot -> int
 (** Roll every variant and the kernel back to [snap]; returns the
     number of live connections dropped. Any pending signal is
-    discarded and the latency baseline re-anchored. A snapshot may be
-    restored any number of times. *)
+    discarded and the latency baseline re-anchored. Each variant's
+    decoded state is dropped with its memory ({!Nv_vm.Memory.restore}):
+    compiled blocks are invalidated and decoded pages released, to be
+    rebuilt as the restored code runs. A snapshot may be restored any
+    number of times. *)
 
 val set_input_fault : t -> (variant:int -> string -> string) option -> unit
 (** Install (or clear) a fault-injection hook on replicated input:

@@ -22,10 +22,11 @@ type t = {
   config : config;
   mutable checkpoint : Monitor.snapshot;
   mutable checkpoint_rv : int;  (* rendezvous count at the checkpoint *)
-  mutable recovery_stamps : int list;  (* rendezvous counts, newest first *)
   mutable last_alarm : Alarm.reason option;
   mutable exhausted : bool;
-  mutable recovery_records : recovery_record list;  (* newest first *)
+  (* The rollbacks inside the current recovery window, newest first:
+     both the restart budget's count and the recovery log. *)
+  mutable recovery_records : recovery_record list;
   trace_ring : Trace.ring;
   recoveries_c : Metrics.counter;
   dropped_c : Metrics.counter;
@@ -49,7 +50,6 @@ let create ?(config = default_config) monitor =
          is defined from the very first quantum. *)
       checkpoint = Monitor.snapshot monitor;
       checkpoint_rv = Monitor.rendezvous_count monitor;
-      recovery_stamps = [];
       last_alarm = None;
       exhausted = false;
       recovery_records = [];
@@ -111,11 +111,15 @@ let maybe_checkpoint t =
    [recovery_window] rendezvous. A deterministic crash loop (an alarm
    that recovery cannot clear, e.g. one raised before any connection
    is accepted) burns through the budget and degrades to fail-stop
-   rather than looping forever. *)
+   rather than looping forever. Records that fall out of the window are
+   dropped here, which also bounds the recovery log (and the forensics
+   bundles it holds) on a long-running server. *)
 let budget_available t ~now =
-  t.recovery_stamps <-
-    List.filter (fun s -> now - s < t.config.recovery_window) t.recovery_stamps;
-  List.length t.recovery_stamps < t.config.max_recoveries
+  t.recovery_records <-
+    List.filter
+      (fun r -> now - r.rr_rendezvous < t.config.recovery_window)
+      t.recovery_records;
+  List.length t.recovery_records < t.config.max_recoveries
 
 let run ?fuel t =
   let rec go () =
@@ -141,7 +145,6 @@ let run ?fuel t =
            state; attach it to the recovery record. *)
         let forensics = Monitor.forensics t.monitor in
         let dropped = Monitor.restore t.monitor t.checkpoint in
-        t.recovery_stamps <- now :: t.recovery_stamps;
         t.recovery_records <-
           {
             rr_rendezvous = now;

@@ -77,10 +77,15 @@ type recovery_record = {
 }
 
 val recovery_log : t -> recovery_record list
-(** Every rollback performed, oldest first, each carrying the alarm it
-    absorbed and the forensics bundle snapshotted at that alarm.
-    Fail-stopped alarms are not in the log (they were not recovered);
-    their bundle remains available via {!Monitor.forensics}. *)
+(** The rollbacks inside the recovery window, oldest first, each
+    carrying the alarm it absorbed and the forensics bundle snapshotted
+    at that alarm. The log is pruned by the restart budget's own rule:
+    at every alarm, records more than [recovery_window] rendezvous older
+    than it are dropped, so a long-running server keeps at most the
+    records of one window rather than every recovery it ever made
+    ({!recoveries} still counts them all). Fail-stopped alarms are not
+    in the log (they were not recovered); their bundle remains
+    available via {!Monitor.forensics}. *)
 
 val exhausted : t -> bool
 (** Whether the restart budget has been exhausted (the supervisor has

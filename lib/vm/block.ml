@@ -1,4 +1,4 @@
-(* Basic-block superinstruction compiler: the third execution tier.
+(* Basic-block superinstruction compiler: the default execution tier.
 
    A block is a maximal straight-line run of same-tagged instructions
    starting at an aligned segment offset and ending at the first
@@ -47,14 +47,19 @@ type compiled = {
   c_tag : int;  (* the hoisted per-block tag; -1 for uncompilable entries *)
   c_len : int;  (* instructions in the block; 0 = uncompilable entry *)
   c_valid : bool ref;  (* shared with the segment's block registry *)
+  c_regs : int array;  (* the register file the closures were compiled against *)
   c_exec : status -> unit;
 }
+
+(* Compiled blocks live in the segment's page directory, keyed by entry
+   slot. The payload is the option [find] hands out, built once at
+   compile time so a dispatch allocates nothing. *)
+type Memory.block_code += Compiled of compiled option
 
 type cache = {
   mem : Memory.t;
   regs : int array;
   expected_tag : int;
-  table : compiled option array;  (* keyed by block-entry slot *)
   scratch : status;
   mutable compiled_blocks : int;
   mutable hits : int;
@@ -67,12 +72,10 @@ type cache = {
 }
 
 let create mem regs ~expected_tag =
-  let slots = (Memory.size mem + Isa.instr_size - 1) / Isa.instr_size in
   {
     mem;
     regs;
     expected_tag;
-    table = Array.make slots None;
     scratch =
       { st_pc = 0; st_retired = 0; st_trap = None; st_k = 0; st_base = 0; st_budget = 0 };
     compiled_blocks = 0;
@@ -488,23 +491,32 @@ let discover mem ~entry_off =
   in
   go [] 0 0
 
-let uncompilable valid =
-  { c_tag = -1; c_len = 0; c_valid = valid; c_exec = (fun _ -> assert false) }
+let uncompilable c valid =
+  {
+    c_tag = -1;
+    c_len = 0;
+    c_valid = valid;
+    c_regs = c.regs;
+    c_exec = (fun _ -> assert false);
+  }
+
+(* Register [cb] over its span and return the stored option. *)
+let register c ~slot ~slots cb =
+  let r = Some cb in
+  Memory.register_block c.mem ~slot ~slots ~valid:cb.c_valid (Compiled r);
+  r
 
 let compile c ~slot =
   let entry_off = slot * Isa.instr_size in
   let entry_addr = Memory.base c.mem + entry_off in
+  let valid = ref true in
   match discover c.mem ~entry_off with
   | [] ->
     (* Nothing decodes at the entry; register a one-slot span anyway so
        a store that rewrites these bytes forces a recompile. *)
-    let valid = Memory.register_block c.mem ~slot ~slots:1 in
-    let cb = uncompilable valid in
-    c.table.(slot) <- Some cb;
-    cb
+    register c ~slot ~slots:1 (uncompilable c valid)
   | (c_tag, _) :: _ as instrs ->
     let len = List.length instrs in
-    let valid = Memory.register_block c.mem ~slot ~slots:len in
     let stackish = Array.make len false in
     List.iteri (fun k (_, instr) -> stackish.(k) <- is_stackish instr) instrs;
     let fallthrough = entry_addr + (len * Isa.instr_size) in
@@ -556,10 +568,9 @@ let compile c ~slot =
         st.st_retired <- st.st_base + st.st_k + 1;
         st.st_pc <- entry_addr + ((st.st_k + 1) * Isa.instr_size)
     in
-    let cb = { c_tag; c_len = len; c_valid = valid; c_exec = exec } in
-    c.table.(slot) <- Some cb;
     c.compiled_blocks <- c.compiled_blocks + 1;
-    cb
+    register c ~slot ~slots:len
+      { c_tag; c_len = len; c_valid = valid; c_regs = c.regs; c_exec = exec }
 
 let length cb = cb.c_len
 
@@ -588,17 +599,19 @@ let find c ~pc ~remaining =
     then None
     else begin
       let slot = off lsr 3 in
-      let cached, cb =
-        match Array.unsafe_get c.table slot with
-        | Some cb when !(cb.c_valid) -> (true, cb)
+      (* The registry drops an entry the moment it is invalidated, so
+         anything found is live; it is ours unless another CPU on the
+         same segment compiled it against its own registers. *)
+      let cached, r =
+        match Memory.block_at c.mem ~slot with
+        | Compiled (Some cb as r) when cb.c_regs == c.regs -> (true, r)
         | _ -> (false, compile c ~slot)
       in
-      if cb.c_len = 0 || cb.c_tag <> c.expected_tag || cb.c_len > remaining then None
-      else begin
+      match r with
+      | Some cb when cb.c_len > 0 && cb.c_tag = c.expected_tag && cb.c_len <= remaining ->
         if cached then c.hits <- c.hits + 1;
-        let r = Some cb in
         c.last_pc <- pc;
         c.last <- r;
         r
-      end
+      | _ -> None
     end

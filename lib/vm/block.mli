@@ -1,15 +1,15 @@
-(** Basic-block superinstruction compiler — the VM's third execution
-    tier, above {!Memory.fetch_reference} and the predecoded icache.
+(** Basic-block superinstruction compiler — the VM's default execution
+    tier, above the single-step decode cache ({!Memory.fetch_decoded})
+    it falls back to and the {!Memory.fetch_reference} oracle.
 
     Basic blocks are discovered at execution time (entry pc to the
     first control transfer, capped at {!Memory.max_block_slots}
     instructions) and compiled into closures with register and operand
     accesses specialized per instruction and the per-instruction tag
     check hoisted to one per-block tag comparison at dispatch.
-    Compiled blocks are cached per segment, keyed by block-entry slot,
-    and registered with the segment's block registry
-    ({!Memory.register_block}) so that any store into a block's byte
-    range — self-modifying code, injected shellcode, a supervisor
+    Compiled blocks are cached in the segment's page directory, keyed
+    by block-entry slot ({!Memory.register_block}), so that any store
+    into a block's byte range — self-modifying code, injected shellcode, a supervisor
     rollback — invalidates it before the next dispatch (or, for a
     store issued from inside the very block it rewrites, before the
     next instruction of the in-flight execution).
@@ -51,8 +51,9 @@ type compiled
     the executor closure. *)
 
 type cache
-(** Per-CPU block cache over one segment. The closures capture the
-    CPU's register file and segment directly. *)
+(** Per-CPU block dispatcher over one segment. The closures capture the
+    CPU's register file and segment directly; the compiled blocks
+    themselves live in the segment. *)
 
 val create : Memory.t -> int array -> expected_tag:int -> cache
 (** [create mem regs ~expected_tag] — [regs] is the live 16-entry
@@ -66,7 +67,8 @@ val find : cache -> pc:int -> remaining:int -> compiled option
     must fall back to single-stepping: unaligned or out-of-range pc,
     undecodable entry, a hoisted tag that differs from the CPU's
     expected tag (the step raises the precise fault), or a block
-    longer than [remaining]. *)
+    longer than [remaining]. A returned block is the option stored at
+    compile time, so dispatch allocates nothing. *)
 
 val exec : compiled -> status -> unit
 (** Run the block, filling the status cell with the resulting pc,

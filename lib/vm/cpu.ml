@@ -218,7 +218,7 @@ let run_blocks t ~fuel =
 let run t ~fuel =
   match Memory.engine t.memory with
   | Memory.Block -> run_blocks t ~fuel
-  | Memory.Reference | Memory.Icache -> run_stepping t ~fuel
+  | Memory.Reference -> run_stepping t ~fuel
 
 let block_stats t =
   match t.blocks with

@@ -39,12 +39,12 @@ val snapshot : t -> snapshot
 (** Copy of the full segment contents. *)
 
 val restore : t -> snapshot -> unit
-(** Overwrite the segment with the snapshot bytes and invalidate the
-    whole decoded-instruction cache and every registered compiled
-    block (the rollback may change code bytes, so every cached decode
-    is suspect). The slot array itself is kept and bulk-reset rather
-    than reallocated, so recovery-heavy campaigns do not churn the
-    major heap. Raises [Invalid_argument] on a segment-size
+(** Overwrite the segment with the snapshot bytes and drop all decoded
+    state: every registered compiled block is invalidated (and counted
+    in {!block_invalidations}) and every allocated page of the page
+    directory is released, since the rollback may change code bytes
+    anywhere. The cost follows the few pages that held decoded code,
+    not the segment size. Raises [Invalid_argument] on a segment-size
     mismatch. *)
 
 val load_byte : t -> int -> int
@@ -74,13 +74,16 @@ val exec_byte : t -> int -> int
 
 (** {1 Decoded instruction fetch}
 
-    The segment keeps a lazily filled cache of decoded instructions,
-    one slot per [Isa.instr_size]-aligned window. Every store
-    ({!store_byte}, {!store_word}, {!store_bytes}, {!store_cstring})
-    invalidates exactly the slots it overlaps, so self-modifying code
-    and injected code are re-decoded (and re-tag-checked) on their next
-    fetch — attack detection is byte-for-byte identical to the uncached
-    decoder. *)
+    Decoded state lives in a page directory: one entry per 4 KiB page
+    of the segment, pointing at a shared empty page until the first
+    decode or block registration inside it allocates the page's own
+    slots (one per [Isa.instr_size]-aligned window). Decoded state
+    therefore follows the few pages of code that actually run, not the
+    segment size. Every store ({!store_byte}, {!store_word},
+    {!store_bytes}, {!store_cstring}) invalidates exactly the slots it
+    overlaps, so self-modifying code and injected code are re-decoded
+    (and re-tag-checked) on their next fetch — attack detection is
+    byte-for-byte identical to the uncached decoder. *)
 
 val fetch_decoded : t -> int -> (int * Isa.t, Isa.decode_error) result
 (** Decode the instruction at an absolute address, returning
@@ -98,30 +101,31 @@ val fetch_reference : t -> int -> (int * Isa.t, Isa.decode_error) result
 
 (** {1 Execution engine selection}
 
-    The VM has three execution tiers sharing one observable semantics:
-    the byte-at-a-time {!fetch_reference} decoder, the predecoded
-    icache, and the basic-block compiler (see [Block]). The segment
-    records which tier its CPU should run; [Block] implies the icache
-    for fetches that fall outside a compiled block. *)
+    The VM has two execution tiers sharing one observable semantics:
+    the basic-block compiler (see [Block]), which falls back to
+    single-stepping through the decode cache ({!fetch_decoded}) when no
+    block is dispatchable, and the byte-at-a-time {!fetch_reference}
+    decoder, kept as the differential oracle. The segment records which
+    tier its CPU runs. *)
 
-type engine = Reference | Icache | Block
+type engine = Reference | Block
 
 val set_engine : t -> engine -> unit
 
 val engine : t -> engine
 
 val engine_of_string : string -> engine option
-(** Parses ["reference" | "icache" | "block"]. *)
+(** Parses ["reference" | "block"]. *)
 
 val engine_to_string : engine -> string
 
 val default_engine : unit -> engine
 (** The engine newly created segments start in: [NV_ENGINE] when set to
-    a recognized name, otherwise {!Icache}. *)
+    a recognized name, otherwise {!Block}. *)
 
-val set_icache_enabled : t -> bool -> unit
-(** Compatibility toggle predating {!set_engine}: [true] selects
-    {!Icache}, [false] selects {!Reference}. *)
+val decoded_pages : t -> int
+(** How many 4 KiB pages of the segment currently hold decoded state
+    (cached decodes or registered blocks). *)
 
 (** {1 Compiled-block registry}
 
@@ -135,12 +139,21 @@ val max_block_slots : int
 (** Upper bound on a registered block's span in slots; bounds the
     store-path back-scan. *)
 
-val register_block : t -> slot:int -> slots:int -> bool ref
+type block_code = ..
+(** What the block compiler stores for a registered block. The segment
+    only keeps it; [Block] extends the type with its compiled code. *)
+
+val register_block : t -> slot:int -> slots:int -> valid:bool ref -> block_code -> unit
 (** Register a block spanning [slots] instruction slots starting at
     entry slot [slot], replacing (and invalidating) any block
-    previously registered at that entry. Returns the shared validity
-    cell: it stays [true] until a store intersects the span, the
-    segment is {!restore}d, or the entry is re-registered. *)
+    previously registered at that entry. [valid] is the block's shared
+    validity cell: the segment sets it to [false] when a store
+    intersects the span, the segment is {!restore}d, or the entry is
+    re-registered, and drops the entry at the same time. *)
+
+val block_at : t -> slot:int -> block_code
+(** The code registered at entry slot [slot]; a constructor private to
+    this module when nothing is. Every entry found here is valid. *)
 
 val block_invalidations : t -> int
 (** How many registered blocks have been invalidated by stores or
@@ -163,6 +176,6 @@ val bytes : t -> Bytes.t
 val invalidate_window : t -> int -> int -> unit
 (** [invalidate_window t off len] performs the store-side cache
     maintenance for a write of [len] bytes at segment offset [off]:
-    drops overlapped icache slots and invalidates intersecting
+    drops overlapped decode-cache slots and invalidates intersecting
     registered blocks. O(1) — two compares — for stores outside the
-    decoded region. *)
+    decoded region, one directory load per slot inside it. *)

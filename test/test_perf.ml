@@ -1,19 +1,27 @@
 (* Performance-PR guarantees: the execution tiers above the reference
-   decoder — the predecoded icache and the basic-block compiler — are
-   semantically invisible.
+   decoder — the decode cache [Cpu.step] fetches through and the
+   basic-block compiler — are semantically invisible, and their decoded
+   state stays page-granular.
 
    - A randomized differential test runs generated programs (including
      self-modifying stores into executed code and wrongly-tagged
-     injected words) on the cached and reference interpreters in
-     lockstep and asserts identical registers, traps, retired counts,
-     and memory contents.
-   - A three-way sliced-run differential drives the same generated
-     programs through [Cpu.run] under all three engines with randomized
-     fuel slices, so block boundaries, mid-block fuel exhaustion and
-     mid-block faults are all crossed and compared state-for-state.
+     injected words) through [Cpu.step] on a block-engine segment (the
+     decode-cache fetch path) and on the reference decoder in lockstep
+     and asserts identical registers, traps, retired counts, and memory
+     contents.
+   - A sliced-run differential drives the same generated programs
+     through [Cpu.run] under the reference and block engines with
+     randomized fuel slices, so block boundaries, mid-block fuel
+     exhaustion and mid-block faults are all crossed and compared
+     state-for-state — also across a [Memory.restore].
    - Explicit self-modifying-code tests prove precise invalidation on
      guest and host stores, and that injected code with a wrong
      instruction tag still faults — under every engine.
+   - Page-directory tests: a block straddling a 4 KiB page boundary is
+     invalidated by a one-byte store into either page, wrong-tag code
+     in a segment's last page faults, restore drops every page and
+     retires the block the dispatcher last ran, and the served config4
+     deployment keeps its decoded state within a few pages.
    - qcheck properties pin the block registry's invalidation contract
      (a store intersecting a registered span flips its validity cell)
      and the sliced-run equivalence.
@@ -25,7 +33,7 @@ open Nv_vm
 module Prng = Nv_util.Prng
 
 (* ------------------------------------------------------------------ *)
-(* Differential: cached vs reference interpreter                       *)
+(* Differential: decode-cache stepping vs reference interpreter        *)
 (* ------------------------------------------------------------------ *)
 
 let base = 0x10000
@@ -120,7 +128,9 @@ let check_lockstep_state ~seed ~step cached reference =
 let run_differential ~seed ~steps =
   let prng = Prng.create ~seed in
   let program = Array.init code_len (fun _ -> gen_instr prng) in
-  let cached_cpu, cached_mem = build_cpu ~engine:Memory.Icache program in
+  (* [Cpu.step] fetches through the decode cache on a block-engine
+     segment: the interpreter the block engine falls back to. *)
+  let cached_cpu, cached_mem = build_cpu ~engine:Memory.Block program in
   let ref_cpu, ref_mem = build_cpu ~engine:Memory.Reference program in
   let rec go step =
     if step < steps then begin
@@ -148,7 +158,7 @@ let test_differential_random_programs () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Three-way sliced-run differential: reference / icache / block       *)
+(* Sliced-run differential: reference vs block                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Drive [Cpu.run] rather than [Cpu.step], since the block engine only
@@ -158,52 +168,68 @@ let test_differential_random_programs () =
    into their own code through r10 (with arbitrary register values, so
    the rewritten word's tag byte is usually wrong — exercising
    wrong-tag injection against compiled blocks) and fault routinely
-   (jmpr through small scratch values). Every slice must leave all
-   three engines in bit-identical architectural state. *)
+   (jmpr through small scratch values). Every slice must leave both
+   engines in bit-identical architectural state.
+
+   With [~restore], both machines are checkpointed before the first
+   slice and rolled back once, at a random slice or when the run first
+   stops, then run on: the block engine must drop every compiled block
+   and decoded page with the rollback (the program may have rewritten
+   its own code since the checkpoint) and still agree with the
+   reference. *)
 let outcome_to_string = function
   | Cpu.Trapped trap -> trap_to_string (Some trap)
   | Cpu.Out_of_fuel -> "out of fuel"
 
-let run_differential_engines ~seed ~slices =
+let run_differential_engines ?(restore = false) ~seed ~slices () =
   let prng = Prng.create ~seed in
   let program = Array.init code_len (fun _ -> gen_instr prng) in
   let ref_cpu, ref_mem = build_cpu ~engine:Memory.Reference program in
-  let ic_cpu, ic_mem = build_cpu ~engine:Memory.Icache program in
   let bl_cpu, bl_mem = build_cpu ~engine:Memory.Block program in
+  let checkpoint = (Cpu.snapshot ref_cpu, Memory.snapshot ref_mem) in
+  let restore_at = if restore then Prng.int prng slices else -1 in
+  let restored = ref (not restore) in
+  let roll_back () =
+    restored := true;
+    let cpu_snap, mem_snap = checkpoint in
+    List.iter
+      (fun (cpu, mem) ->
+        Cpu.restore cpu cpu_snap;
+        Memory.restore mem mem_snap;
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d: restore drops every decoded page" seed)
+          0 (Memory.decoded_pages mem))
+      [ (ref_cpu, ref_mem); (bl_cpu, bl_mem) ]
+  in
   let rec go slice =
     if slice < slices then begin
+      if slice = restore_at && not !restored then roll_back ();
       let fuel = 1 + Prng.int prng 9 in
       let ro = Cpu.run ref_cpu ~fuel in
-      let io = Cpu.run ic_cpu ~fuel in
       let bo = Cpu.run bl_cpu ~fuel in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d slice %d: icache outcome" seed slice)
-        (outcome_to_string ro) (outcome_to_string io);
       Alcotest.(check string)
         (Printf.sprintf "seed %d slice %d: block outcome" seed slice)
         (outcome_to_string ro) (outcome_to_string bo);
-      check_lockstep_state ~seed ~step:slice ic_cpu ref_cpu;
       check_lockstep_state ~seed ~step:slice bl_cpu ref_cpu;
       match ro with
       | Cpu.Out_of_fuel | Cpu.Trapped Cpu.Syscall_trap -> go (slice + 1)
-      | Cpu.Trapped Cpu.Halt_trap | Cpu.Trapped (Cpu.Fault_trap _) -> ()
+      | Cpu.Trapped Cpu.Halt_trap | Cpu.Trapped (Cpu.Fault_trap _) ->
+        if not !restored then begin
+          roll_back ();
+          go (slice + 1)
+        end
     end
   in
   go 0;
   let dump m = Bytes.to_string (Memory.load_bytes m ~addr:base ~len:seg_size) in
-  let ref_dump = dump ref_mem in
-  Alcotest.(check bool)
-    (Printf.sprintf "seed %d: icache memory identical" seed)
-    true
-    (String.equal ref_dump (dump ic_mem));
   Alcotest.(check bool)
     (Printf.sprintf "seed %d: block memory identical" seed)
     true
-    (String.equal ref_dump (dump bl_mem))
+    (String.equal (dump ref_mem) (dump bl_mem))
 
 let test_differential_engines () =
   for seed = 100 to 140 do
-    run_differential_engines ~seed ~slices:200
+    run_differential_engines ~seed ~slices:200 ()
   done
 
 (* ------------------------------------------------------------------ *)
@@ -237,7 +263,7 @@ let self_modifying_source ~patch_tag =
     |}
     (le_word patch 0) (le_word patch 4)
 
-let all_engines = [ Memory.Reference; Memory.Icache; Memory.Block ]
+let all_engines = [ Memory.Reference; Memory.Block ]
 
 let load_source ?(tag = 0) ~engine source =
   let loaded = Image.load (Asm.assemble source) ~base:0x1000 ~size:0x10000 ~tag in
@@ -286,6 +312,119 @@ let test_smc_host_store_invalidates () =
   Alcotest.(check int) "patched value observed" 2 (Cpu.reg cpu 1)
 
 (* ------------------------------------------------------------------ *)
+(* Page directory                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let page_bytes = 4096
+
+(* Five [mov rN, #N] and a halt compiled as one block whose entry sits
+   four slots before the first page boundary, so its span covers two
+   pages. A one-byte store of a new immediate (byte 4 of the encoding)
+   into either page must retire the block, and the re-run must see the
+   patched instruction. *)
+let test_page_straddling_block_invalidation () =
+  List.iter
+    (fun k ->
+      let memory = Memory.create ~base ~size:seg_size in
+      Memory.set_engine memory Memory.Block;
+      let entry = base + page_bytes - (4 * Isa.instr_size) in
+      let program = Array.init 5 (fun i -> Isa.Mov (i + 1, Isa.Imm (i + 1))) in
+      Array.iteri
+        (fun i instr ->
+          Memory.store_bytes memory
+            ~addr:(entry + (i * Isa.instr_size))
+            (Isa.encode ~tag:0 instr))
+        (Array.append program [| Isa.Halt |]);
+      let cpu = Cpu.create memory ~pc:entry ~sp:(base + seg_size) in
+      let run () =
+        Cpu.set_pc cpu entry;
+        match Cpu.run cpu ~fuel:100 with
+        | Cpu.Trapped Cpu.Halt_trap -> ()
+        | o -> Alcotest.failf "expected halt, got %s" (outcome_to_string o)
+      in
+      run ();
+      let which = Printf.sprintf "store into instruction %d" k in
+      Alcotest.(check (triple int int int))
+        (which ^ ": one block over two pages") (1, 0, 0) (Cpu.block_stats cpu);
+      Alcotest.(check int) (which ^ ": pages allocated") 2 (Memory.decoded_pages memory);
+      Memory.store_byte memory (entry + (k * Isa.instr_size) + 4) 42;
+      let _, _, invalidations = Cpu.block_stats cpu in
+      Alcotest.(check int) (which ^ ": block invalidated") 1 invalidations;
+      run ();
+      Alcotest.(check int) (which ^ ": patched value") 42 (Cpu.reg cpu (k + 1));
+      let compiled, _, _ = Cpu.block_stats cpu in
+      Alcotest.(check int) (which ^ ": recompiled") 2 compiled)
+    [ 0; 4 ] (* instruction 0 is on the first page, instruction 4 on the second *)
+
+(* A segment whose size is not a whole number of pages: its last page
+   is partly mapped. Run tag-1 code ending at the very last byte, then
+   overwrite it with tag-0 code from the host; the re-run must fault
+   with [Bad_tag] under the default engine, exactly where the stepping
+   interpreter would. *)
+let test_last_page_wrong_tag_faults () =
+  let size = (3 * page_bytes) + 0x100 in
+  let memory = Memory.create ~base ~size in
+  let entry = base + size - (2 * Isa.instr_size) in
+  Memory.store_bytes memory ~addr:entry (Isa.encode ~tag:1 (Isa.Mov (1, Isa.Imm 1)));
+  Memory.store_bytes memory ~addr:(entry + Isa.instr_size) (Isa.encode ~tag:1 Isa.Halt);
+  let cpu = Cpu.create ~expected_tag:1 memory ~pc:entry ~sp:(base + size) in
+  (match Cpu.run cpu ~fuel:10 with
+  | Cpu.Trapped Cpu.Halt_trap -> ()
+  | o -> Alcotest.failf "expected halt, got %s" (outcome_to_string o));
+  Memory.store_bytes memory ~addr:entry (Isa.encode ~tag:0 (Isa.Mov (1, Isa.Imm 2)));
+  Cpu.set_pc cpu entry;
+  let retired = Cpu.instructions_retired cpu in
+  match Cpu.run cpu ~fuel:10 with
+  | Cpu.Trapped (Cpu.Fault_trap (Cpu.Bad_tag { addr; found = 0; expected = 1 })) ->
+    Alcotest.(check int) "fault address" entry addr;
+    Alcotest.(check int) "the fault retires nothing" retired (Cpu.instructions_retired cpu);
+    Alcotest.(check int) "register untouched" 1 (Cpu.reg cpu 1)
+  | o -> Alcotest.failf "expected Bad_tag, got %s" (outcome_to_string o)
+
+(* Checkpoint a one-block program, patch it from the host and run the
+   patched block (it is now the dispatcher's last-block memo), then roll
+   back: the re-run must execute the checkpointed bytes, so [restore]
+   has to retire the block the memo still points at, not just drop the
+   pages holding it. *)
+let test_restore_retires_compiled_blocks () =
+  let loaded = load_source ~engine:Memory.Block "mov r1, #1\nhalt" in
+  let { Image.cpu; memory; layout } = loaded in
+  let cpu_snap = Cpu.snapshot cpu and mem_snap = Memory.snapshot memory in
+  let run_to_halt () =
+    match Cpu.run cpu ~fuel:10 with
+    | Cpu.Trapped Cpu.Halt_trap -> Cpu.reg cpu 1
+    | o -> Alcotest.failf "expected halt, got %s" (outcome_to_string o)
+  in
+  Alcotest.(check int) "original code" 1 (run_to_halt ());
+  Memory.store_bytes memory ~addr:layout.Image.code_start
+    (Isa.encode ~tag:0 (Isa.Mov (1, Isa.Imm 2)));
+  Cpu.set_pc cpu layout.Image.code_start;
+  Alcotest.(check int) "patched code" 2 (run_to_halt ());
+  Cpu.restore cpu cpu_snap;
+  Memory.restore memory mem_snap;
+  Alcotest.(check int) "no decoded pages after restore" 0 (Memory.decoded_pages memory);
+  Alcotest.(check int) "checkpointed code after restore" 1 (run_to_halt ())
+
+(* Decoded state follows the code that runs, not the 1 MiB segment: once
+   the config4 server has served requests and parked on accept again,
+   each variant's decoded state spans at most 6 pages (about 17 KB of
+   code runs). *)
+let test_served_footprint_pages () =
+  match Nv_httpd.Deploy.build Nv_httpd.Deploy.Two_variant_uid with
+  | Error e -> Alcotest.fail e
+  | Ok sys ->
+    for _ = 1 to 3 do
+      match Nv_core.Nsystem.serve sys (Nv_httpd.Http.get "/") with
+      | Nv_core.Nsystem.Served _ -> ()
+      | Nv_core.Nsystem.Stopped _ -> Alcotest.fail "request not served"
+    done;
+    let monitor = Nv_core.Nsystem.monitor sys in
+    for i = 0 to Nv_core.Monitor.variant_count monitor - 1 do
+      let pages = Memory.decoded_pages (Nv_core.Monitor.loaded monitor i).Image.memory in
+      if pages > 6 then Alcotest.failf "variant %d: decoded state spans %d pages" i pages
+    done
+
+(* ------------------------------------------------------------------ *)
 (* qcheck properties: block-registry invalidation and run equivalence  *)
 (* ------------------------------------------------------------------ *)
 
@@ -294,6 +433,8 @@ let test_smc_host_store_invalidates () =
    anywhere else must leave it alone. This is the whole contract
    between [Memory]'s store path and the block compiler — if it holds,
    a compiled block can never execute stale bytes. *)
+type Memory.block_code += Probe
+
 let prop_store_invalidates_registered_span =
   let slots = seg_size / Isa.instr_size in
   QCheck.Test.make ~name:"store into a registered span invalidates the block"
@@ -306,7 +447,8 @@ let prop_store_invalidates_registered_span =
         bool)
     (fun (slot, span, store_off, word) ->
       let memory = Memory.create ~base ~size:seg_size in
-      let valid = Memory.register_block memory ~slot ~slots:span in
+      let valid = ref true in
+      Memory.register_block memory ~slot ~slots:span ~valid Probe;
       let len = if word then 4 else 1 in
       if word then Memory.store_word memory (base + store_off) 0xDEAD
       else Memory.store_byte memory (base + store_off) 0xAD;
@@ -319,13 +461,20 @@ let prop_store_invalidates_registered_span =
 (* The sliced-run differential as a property over the program seed:
    whatever program the seed generates — including mid-block faults,
    fuel slices ending inside a block, and self-modifying stores — the
-   three engines stay state-identical. *)
+   two engines stay state-identical. *)
 let prop_engines_agree_under_slicing =
-  QCheck.Test.make ~name:"reference/icache/block agree under random fuel slicing"
-    ~count:60
+  QCheck.Test.make ~name:"reference/block agree under random fuel slicing" ~count:60
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      run_differential_engines ~seed ~slices:80;
+      run_differential_engines ~seed ~slices:80 ();
+      true)
+
+(* The same, rolled back once mid-run with [Memory.restore]. *)
+let prop_engines_agree_across_restore =
+  QCheck.Test.make ~name:"reference/block agree across Memory.restore" ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      run_differential_engines ~restore:true ~seed ~slices:80 ();
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -378,12 +527,25 @@ let () =
         [
           Alcotest.test_case "cached vs reference interpreter (randomized)" `Quick
             test_differential_random_programs;
-          Alcotest.test_case "reference vs icache vs block, sliced runs" `Quick
+          Alcotest.test_case "reference vs block, sliced runs" `Quick
             test_differential_engines;
         ] );
       ( "block properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_store_invalidates_registered_span; prop_engines_agree_under_slicing ] );
+          [
+            prop_store_invalidates_registered_span; prop_engines_agree_under_slicing;
+            prop_engines_agree_across_restore;
+          ] );
+      ( "page directory",
+        [
+          Alcotest.test_case "block straddling a page boundary" `Quick
+            test_page_straddling_block_invalidation;
+          Alcotest.test_case "wrong-tag code in the last page" `Quick
+            test_last_page_wrong_tag_faults;
+          Alcotest.test_case "restore retires compiled blocks" `Quick
+            test_restore_retires_compiled_blocks;
+          Alcotest.test_case "served config4 footprint" `Quick test_served_footprint_pages;
+        ] );
       ( "self-modifying code",
         [
           Alcotest.test_case "guest store invalidates decode cache" `Quick

@@ -237,6 +237,37 @@ let test_window_purges_budget () =
   Alcotest.(check string) "still serving" baseline
     (expect_200 "post" (Nsystem.serve sys benign))
 
+let test_window_prunes_recovery_log () =
+  (* Four absorbed attacks, each followed by a benign request. The
+     first run's window spans the whole run, so its log holds every
+     rollback's rendezvous stamp; the second run's window reaches back
+     past the third rollback but not the second, so only the last two
+     records may survive, oldest first. *)
+  let stamps ~window =
+    let sys =
+      build_deploy
+        ~recover:
+          { Supervisor.checkpoint_interval = 1; max_recoveries = 100; recovery_window = window }
+        ~parallel:false ()
+    in
+    let sup = supervisor_of sys in
+    for i = 1 to 4 do
+      (match Nsystem.serve sys attack_request with
+      | Nsystem.Served _ -> ()
+      | Nsystem.Stopped outcome ->
+        Alcotest.failf "attack %d not absorbed: %s" i (outcome_str outcome));
+      ignore (expect_200 "benign" (Nsystem.serve sys benign))
+    done;
+    Alcotest.(check int) "every recovery counted" 4 (Supervisor.recoveries sup);
+    List.map (fun r -> r.Supervisor.rr_rendezvous) (Supervisor.recovery_log sup)
+  in
+  match stamps ~window:max_int with
+  | [ _; r2; r3; r4 ] ->
+    Alcotest.(check (list int))
+      "records inside the window, newest last" [ r3; r4 ]
+      (stamps ~window:(r4 - r2))
+  | all -> Alcotest.failf "expected 4 logged recoveries, got %d" (List.length all)
+
 let test_zero_budget_is_failstop () =
   (* max_recoveries = 0: the very first alarm surfaces, exactly like an
      unsupervised monitor. *)
@@ -461,6 +492,8 @@ let () =
             test_attack_recovery_integration;
           Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
           Alcotest.test_case "window purges budget" `Quick test_window_purges_budget;
+          Alcotest.test_case "window prunes recovery log" `Quick
+            test_window_prunes_recovery_log;
           Alcotest.test_case "zero budget is fail-stop" `Quick test_zero_budget_is_failstop;
           Alcotest.test_case "rollback to initial" `Quick test_rollback_to_initial;
           Alcotest.test_case "out-of-fuel passthrough" `Quick test_out_of_fuel_passthrough;
