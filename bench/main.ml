@@ -609,16 +609,11 @@ let bench_config config =
 
 let report_bench ?(path = "BENCH_results.json") () =
   section "BENCH: per-configuration results (JSON)";
-  (* The four configurations are independent systems: measure them on
-     the domain pool when NV_PARALLEL=1. bench_config is pure in the
-     host world (each call builds its own system), so the parallel
-     results are the ones the sequential loop would print. *)
-  let cells =
-    let configs = Array.of_list Deploy.all in
-    if Nv_util.Dompool.env_default () then
-      Nv_util.Dompool.map_array (Nv_util.Dompool.global ()) bench_config configs
-    else Array.map bench_config configs
-  in
+  (* The four configurations are independent systems, measured
+     concurrently over the host's cores. bench_config is pure in the
+     host world (each call builds its own system), so the results are
+     the ones a sequential loop would print. *)
+  let cells = Nv_util.Par.map_array bench_config (Array.of_list Deploy.all) in
   let configs =
     List.filter_map
       (fun (config, cell) ->
@@ -758,63 +753,6 @@ let trace_hostperf ~reps ~requests =
   done;
   (!instructions, !plain, !off, !on_, !best_off_ratio)
 
-(* Microbench for domain-parallel variant execution: an outer loop of
-   cond_chk detection calls (syscall 21) separated by pure compute
-   spins. cond_chk is a relaxed call, so under the pinned-domain engine
-   each variant posts its record and keeps running — the variants
-   free-run concurrently all the way to exit (the one sensitive call),
-   where the deferred batch is cross-checked. Sequential mode performs
-   the identical checks inline on one domain, so the speedup column
-   isolates what pinning buys. *)
-let parperf_rendezvous = 40
-
-let parperf_spin = 25_000
-
-let parperf_program =
-  Printf.sprintf
-    {|
-      .text
-      mov r7, #0
-      mov r8, #%d
-    outer:
-      mov r5, #0
-      mov r6, #%d
-    inner:
-      add r5, r5, #1
-      brlt r5, r6, inner
-      mov r0, #21
-      mov r1, #1
-      syscall
-      add r7, r7, #1
-      brlt r7, r8, outer
-      mov r0, #0
-      mov r1, #0
-      syscall
-    |}
-    parperf_rendezvous parperf_spin
-
-let parallel_hostperf ~variants ~parallel ~reps =
-  let image = Nv_vm.Asm.assemble parperf_program in
-  let instructions = ref 0 in
-  let relaxed = ref 0 in
-  let best = ref 0. in
-  for _ = 1 to reps do
-    let sys =
-      Nsystem.of_one_image ~parallel ~variation:(Variation.uid_diversity_n variants)
-        image
-    in
-    let t0 = Unix.gettimeofday () in
-    (match Nsystem.run sys with
-    | Monitor.Exited 0 -> ()
-    | _ -> failwith "hostperf: parallel microbench did not exit cleanly");
-    let dt = Unix.gettimeofday () -. t0 in
-    let monitor = Nsystem.monitor sys in
-    instructions := Monitor.instructions_retired monitor;
-    relaxed := (Monitor.stats monitor).Monitor.st_relaxed_checks;
-    best := Float.max !best (mips !instructions dt)
-  done;
-  (!instructions, !relaxed, !best)
-
 let report_hostperf ?(path = "BENCH_results.json") () =
   section "HOSTPERF: host wall-clock guest-MIPS (interpreter and 2-variant monitor)";
   let interp_instr, interp_ref, _ =
@@ -884,37 +822,6 @@ let report_hostperf ?(path = "BENCH_results.json") () =
     "block engine vs. Cpu.step loop: %.2fx on the microbench (target > 1x); %d blocks \
      compiled, %d cache hits, %d invalidations\n"
     block_vs_step block_compiled block_hits block_invalidations;
-  let host_cores = Domain.recommended_domain_count () in
-  let par_variants = [ 2; 4 ] in
-  let par_rows =
-    List.map
-      (fun variants ->
-        let instr, relaxed, seq_mips = parallel_hostperf ~variants ~parallel:false ~reps:3 in
-        let _, _, par_mips = parallel_hostperf ~variants ~parallel:true ~reps:3 in
-        (variants, instr, relaxed, seq_mips, par_mips, par_mips /. seq_mips))
-      par_variants
-  in
-  Nv_util.Tablefmt.print
-    ~header:
-      [
-        "configuration"; "guest instructions"; "relaxed checks"; "sequential MIPS";
-        "parallel MIPS"; "speedup";
-      ]
-    ~rows:
-      (List.map
-         (fun (variants, instr, relaxed, seq_mips, par_mips, speedup) ->
-           [
-             Printf.sprintf "%d-variant relaxed microbench" variants;
-             string_of_int instr; string_of_int relaxed;
-             Printf.sprintf "%.2f" seq_mips; Printf.sprintf "%.2f" par_mips;
-             Printf.sprintf "%.2fx" speedup;
-           ])
-         par_rows)
-    ();
-  Printf.printf
-    "engine: one pinned domain per variant; host has %d core(s) (parallel speedup\n\
-     needs a multi-core host — on one core both modes run the same relaxed protocol)\n"
-    host_cores;
   let trace_instr, trace_plain, trace_off, trace_on, best_off_ratio =
     trace_hostperf ~reps:5 ~requests:120
   in
@@ -948,24 +855,11 @@ let report_hostperf ?(path = "BENCH_results.json") () =
           ("speedup", Json.Num speedup);
         ] )
   in
-  let par_mode (variants, instructions, relaxed, seq_mips, par_mips, speedup) =
-    ( Printf.sprintf "parallel_%dvariant" variants,
-      Json.Obj
-        [
-          ("instructions", Json.Num (float_of_int instructions));
-          ("relaxed_checks", Json.Num (float_of_int relaxed));
-          ("sequential_mips", Json.Num seq_mips);
-          ("parallel_mips", Json.Num par_mips);
-          ("speedup", Json.Num speedup);
-          ("engine_workers", Json.Num (float_of_int variants));
-          ("host_cores", Json.Num (float_of_int host_cores));
-        ] )
-  in
   update_json_obj path
     [
       ( "hostperf",
         Json.Obj
-          ([
+          [
              mode "interpreter" interp_instr interp_ref interp_block interp_speedup;
              mode "monitor_2variant" mon_instr mon_ref mon_block mon_speedup;
              ( "block",
@@ -992,8 +886,7 @@ let report_hostperf ?(path = "BENCH_results.json") () =
                    ("enabled_over_disabled", Json.Num (trace_on /. trace_off));
                    ("disabled_vs_monitor_frac", Json.Num disabled_frac);
                  ] );
-           ]
-          @ List.map par_mode par_rows) );
+           ] );
     ];
   Printf.printf "updated %s (hostperf)\n" path
 

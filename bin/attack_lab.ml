@@ -27,16 +27,6 @@ let list_arg = Arg.(value & flag & info [ "list" ] ~doc:"List attacks and exit."
 let verbose_arg =
   Arg.(value & flag & info [ "verbose" ] ~doc:"Print detailed verdicts, not just labels.")
 
-let parallel_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) (Nv_util.Dompool.env_default ())
-    & info [ "parallel" ] ~docv:"on|off"
-        ~doc:
-          "Run independent attack/configuration cells (and each system's \
-           variants) on a domain pool. Defaults to the $(b,NV_PARALLEL) \
-           environment variable (1 = on). Verdicts are identical either way.")
-
 let recover_arg =
   Arg.(
     value & flag
@@ -57,7 +47,7 @@ let forensics_arg =
            bundle under a top-level $(b,forensics) key — to $(docv). \
            Requires $(b,--attack) and $(b,--config) to pin the cell.")
 
-let run attack config list verbose parallel recover forensics =
+let run attack config list verbose recover forensics =
   if list then begin
     List.iter
       (fun a ->
@@ -83,7 +73,7 @@ let run attack config list verbose parallel recover forensics =
   | Some path -> (
     match (attacks, configs) with
     | [ a ], [ c ] -> (
-      match Nv_attacks.Campaign.run_attack_traced ~parallel ?recover a c with
+      match Nv_attacks.Campaign.run_attack_traced ?recover a c with
       | Error message ->
         Printf.eprintf "attack_lab: --forensics cell failed to build: %s\n" message;
         exit 2
@@ -100,7 +90,7 @@ let run attack config list verbose parallel recover forensics =
     | _ ->
       Printf.eprintf "attack_lab: --forensics needs --attack and --config to pin one cell\n";
       exit 2));
-  let matrix = Nv_attacks.Campaign.run_matrix ~parallel ?recover ~attacks ~configs () in
+  let matrix = Nv_attacks.Campaign.run_matrix ?recover ~attacks ~configs () in
   print_string (Nv_attacks.Campaign.render_matrix matrix);
   if verbose then
     List.iter
@@ -147,7 +137,7 @@ let cmd =
   let doc = "run data-corruption and code-injection attacks against the case-study server" in
   Cmd.v (Cmd.info "attack_lab" ~doc)
     Term.(
-      const run $ attack_arg $ config_arg $ list_arg $ verbose_arg $ parallel_arg
+      const run $ attack_arg $ config_arg $ list_arg $ verbose_arg
       $ recover_arg $ forensics_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -71,16 +71,6 @@ let attacks_arg =
 
 let seed_arg = Arg.(value & opt int 11 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
-let parallel_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) (Nv_util.Dompool.env_default ())
-    & info [ "parallel" ] ~docv:"on|off"
-        ~doc:
-          "Profile the server with parallel variant execution ($(b,on)) or \
-           sequentially ($(b,off)). Defaults to $(b,NV_PARALLEL). The fleet \
-           report is bit-identical either way.")
-
 let engine_arg =
   Arg.(
     value
@@ -137,7 +127,7 @@ let log_level_arg =
            $(b,info) adds recovery detail.")
 
 let run config replicas rate arrival burst_mean amplitude duration users guest_users
-    attacks seed parallel engine metrics trace_out log_level =
+    attacks seed engine metrics trace_out log_level =
   (match log_level with
   | None -> ()
   | Some level -> Nv_util.Logsrc.setup ~level ());
@@ -148,7 +138,7 @@ let run config replicas rate arrival burst_mean amplitude duration users guest_u
     | `Diurnal ->
       Nv_sim.Arrivals.Diurnal { rate; amplitude; period_s = duration /. 2.0 }
   in
-  let built = Nv_httpd.Deploy.build ~parallel ~engine ~users:guest_users config in
+  let built = Nv_httpd.Deploy.build ~engine ~users:guest_users config in
   match built with
   | Error message ->
     Printf.eprintf "fleetsim: %s\n" message;
@@ -237,7 +227,7 @@ let cmd =
     Term.(
       const run $ config_arg $ replicas_arg $ rate_arg $ arrival_arg $ burst_mean_arg
       $ amplitude_arg $ duration_arg $ users_arg $ guest_users_arg $ attacks_arg
-      $ seed_arg $ parallel_arg $ engine_arg $ metrics_arg $ trace_out_arg
+      $ seed_arg $ engine_arg $ metrics_arg $ trace_out_arg
       $ log_level_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -77,17 +77,6 @@ let metrics_arg =
           "Dump the system's metrics registry to stderr before exiting, as \
            $(b,text) (one metric per line) or $(b,json).")
 
-let parallel_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) (Nv_util.Dompool.env_default ())
-    & info [ "parallel" ] ~docv:"on|off"
-        ~doc:
-          "Run each variant's quantum on its own domain between rendezvous \
-           points ($(b,on)) or step variants sequentially ($(b,off)). Defaults \
-           to the $(b,NV_PARALLEL) environment variable (1 = on). Outcomes are \
-           identical either way; only wall-clock time differs.")
-
 let engine_arg =
   Arg.(
     value
@@ -138,8 +127,7 @@ let read_file path =
   close_in ic;
   s
 
-let run variation file trace trace_out fuel no_runtime mode metrics parallel engine
-    recover =
+let run variation file trace trace_out fuel no_runtime mode metrics engine recover =
   let source = read_file file in
   let source = if no_runtime then source else Nv_minic.Runtime.with_runtime source in
   match Nv_transform.Uid_transform.transform_source ~mode ~variation source with
@@ -154,7 +142,7 @@ let run variation file trace trace_out fuel no_runtime mode metrics parallel eng
         (fun n -> { Nv_core.Supervisor.default_config with max_recoveries = n })
         recover
     in
-    let sys = Nv_core.Nsystem.create ~parallel ~engine ?recover ~variation images in
+    let sys = Nv_core.Nsystem.create ~engine ?recover ~variation images in
     let monitor = Nv_core.Nsystem.monitor sys in
     let session = Nv_core.Monitor.trace_session monitor in
     if trace || trace_out <> None then Nv_util.Trace.set_enabled session true;
@@ -232,7 +220,7 @@ let cmd =
     (Cmd.info "nvexec" ~doc)
     Term.(
       const run $ variation_arg $ file_arg $ trace_arg $ trace_out_arg $ fuel_arg
-      $ no_runtime_arg $ mode_arg $ metrics_arg $ parallel_arg $ engine_arg
+      $ no_runtime_arg $ mode_arg $ metrics_arg $ engine_arg
       $ recover_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -286,8 +286,8 @@ let classify_with_supervisor sys verdict =
       }
   | _ -> verdict
 
-let run_attack ?parallel ?recover attack config =
-  match Deploy.build ?parallel ?recover config with
+let run_attack ?recover attack config =
+  match Deploy.build ?recover config with
   | Error _ as e -> e
   | Ok sys ->
     let verdict = attack.run sys in
@@ -299,8 +299,8 @@ type traced = {
   trace_json : Nv_util.Metrics.Json.value;
 }
 
-let run_attack_traced ?parallel ?recover attack config =
-  match Deploy.build ?parallel ?recover config with
+let run_attack_traced ?recover attack config =
+  match Deploy.build ?recover config with
   | Error _ as e -> e
   | Ok sys ->
     let monitor = Nsystem.monitor sys in
@@ -333,14 +333,11 @@ let run_attack_traced ?parallel ?recover attack config =
 type matrix = (attack * (Deploy.config * verdict) list) list
 
 (* Each (attack, config) cell builds its own fresh system, so the
-   cells are independent; under [parallel] they are fanned out on the
-   shared domain pool and reassembled in matrix order. *)
-let run_matrix ?parallel ?recover ?(attacks = attacks) ?(configs = Deploy.matrix) () =
-  let parallel =
-    match parallel with Some b -> b | None -> Nv_util.Dompool.env_default ()
-  in
+   cells are independent: they are fanned out over the host's cores
+   and reassembled in matrix order. *)
+let run_matrix ?recover ?(attacks = attacks) ?(configs = Deploy.matrix) () =
   let cell (attack, config) =
-    match run_attack ~parallel ?recover attack config with
+    match run_attack ?recover attack config with
     | Ok verdict -> (config, verdict)
     | Error message -> (config, Crashed ("build failed: " ^ message))
   in
@@ -348,10 +345,7 @@ let run_matrix ?parallel ?recover ?(attacks = attacks) ?(configs = Deploy.matrix
     Array.of_list
       (List.concat_map (fun a -> List.map (fun c -> (a, c)) configs) attacks)
   in
-  let results =
-    if parallel then Nv_util.Dompool.map_array (Nv_util.Dompool.global ()) cell pairs
-    else Array.map cell pairs
-  in
+  let results = Nv_util.Par.map_array cell pairs in
   let nconfigs = List.length configs in
   List.mapi
     (fun i attack -> (attack, Array.to_list (Array.sub results (i * nconfigs) nconfigs)))

@@ -71,16 +71,14 @@ val attacks : attack list
 val find : string -> attack option
 
 val run_attack :
-  ?parallel:bool ->
   ?recover:Nv_core.Supervisor.config ->
   attack ->
   Nv_httpd.Deploy.config ->
   (verdict, string) result
-(** Build the configuration fresh and run one attack. [parallel] as in
-    {!Nv_core.Monitor.create}. With [recover] the system carries a
-    recovery supervisor; an attack it absorbs (rollback, connection
-    dropped, server healthy afterwards) classifies as {!Recovered}
-    instead of halting as {!Detected}. *)
+(** Build the configuration fresh and run one attack. With [recover]
+    the system carries a recovery supervisor; an attack it absorbs
+    (rollback, connection dropped, server healthy afterwards)
+    classifies as {!Recovered} instead of halting as {!Detected}. *)
 
 type traced = {
   verdict : verdict;
@@ -98,7 +96,6 @@ type traced = {
 }
 
 val run_attack_traced :
-  ?parallel:bool ->
   ?recover:Nv_core.Supervisor.config ->
   attack ->
   Nv_httpd.Deploy.config ->
@@ -111,7 +108,6 @@ val run_attack_traced :
 type matrix = (attack * (Nv_httpd.Deploy.config * verdict) list) list
 
 val run_matrix :
-  ?parallel:bool ->
   ?recover:Nv_core.Supervisor.config ->
   ?attacks:attack list ->
   ?configs:Nv_httpd.Deploy.config list ->
@@ -120,9 +116,9 @@ val run_matrix :
 (** Every attack against every configuration (default:
     {!Nv_httpd.Deploy.matrix} — the four Table 3 columns plus the
     N=3/4 portfolio columns). Cells are independent (each builds a
-    fresh system); under [parallel] (default: [NV_PARALLEL]) they run
-    concurrently on the shared domain pool, with results reassembled
-    in deterministic matrix order. [recover] as in {!run_attack}
+    fresh system), so they run concurrently over the host's cores
+    ({!Nv_util.Par.map_array}), with results reassembled in
+    deterministic matrix order. [recover] as in {!run_attack}
     (recovered-vs-halted comparison). *)
 
 val render_matrix : matrix -> string

@@ -110,8 +110,8 @@ let recoveries_of sys =
 
 let probe = Http.get "/"
 
-let run_campaign ?(seed = 42) ?faults ?recover ?parallel config =
-  match Deploy.build ?parallel ?recover config with
+let run_campaign ?(seed = 42) ?faults ?recover config =
+  match Deploy.build ?recover config with
   | Error message -> Error ("build failed: " ^ message)
   | Ok sys -> (
     (* Pin the healthy response before any fault, on the same system,

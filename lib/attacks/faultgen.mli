@@ -50,13 +50,12 @@ val run_campaign :
   ?seed:int ->
   ?faults:fault list ->
   ?recover:Nv_core.Supervisor.config ->
-  ?parallel:bool ->
   Nv_httpd.Deploy.config ->
   (report, string) result
 (** Build the configuration fresh (with a supervisor when [recover] is
     given), pin the healthy [GET /] response as baseline, then inject
     each fault while parked on accept and probe. Faults default to 12
     drawn from a PRNG seeded with [seed] (default 42), so the campaign
-    is reproducible and identical under sequential and parallel
-    execution. Fail-stop and crash outcomes are terminal: the campaign
+    is reproducible and identical under either execution engine.
+    Fail-stop and crash outcomes are terminal: the campaign
     stops early with the counts so far. *)

@@ -7,8 +7,6 @@ module Cred = Nv_os.Cred
 module Syscall = Nv_os.Syscall
 module Sysabi = Nv_os.Sysabi
 module Metrics = Nv_util.Metrics
-module Dompool = Nv_util.Dompool
-module Spsc = Nv_util.Spsc
 module Trace = Nv_util.Trace
 
 type outcome = Exited of int | Alarm of Alarm.reason | Blocked_on_accept | Out_of_fuel
@@ -54,23 +52,19 @@ type arrival =
   | A_fuel
   | A_raised of exn * Printexc.raw_backtrace
 
-(* Concurrency discipline (see docs/architecture.md, "Concurrency"):
-   while released, each variant's [Image.loaded] (CPU, memory, decoded pages)
-   plus its own [delivered.(i)] slot are owned by the domain pinned to
-   that variant; everything else — the kernel, the metrics registry,
-   [t.signal], the tracer, the metric-handle caches, [canon_scratch],
-   the [deferred] queues and [arrivals] — is only ever touched by the
-   coordinator domain, between rounds. A released variant performs no
-   [Metrics] mutation and never clears [t.signal]; the coordinator
-   counts deliveries by diffing the [delivered] flags after the round
-   and clears the signal itself. In parallel mode all cross-domain
-   traffic flows through SPSC rings whose atomic operations order the
-   plain reads/writes on either side. *)
+(* Release discipline (see docs/architecture.md, "Relaxed monitoring"):
+   while released, a variant touches only its own [Image.loaded] (CPU,
+   memory, decoded pages), its [delivered.(i)] slot, its trace ring and
+   its [deferred] queue; the kernel, the metrics registry, [t.signal],
+   the tracer, the metric-handle caches and [canon_scratch] are only
+   touched by the coordinator, between rounds. A released variant
+   performs no [Metrics] mutation and never clears [t.signal]; the
+   coordinator counts deliveries by diffing the [delivered] flags after
+   the round and clears the signal itself. *)
 type t = {
   kernel : Kernel.t;
   variation : Variation.t;
   variants : Image.loaded array;
-  parallel : bool;  (* pin each variant to its own domain during run *)
   mutable tracer : (event -> unit) option;
   mutable signal : pending_signal option;
   (* Fault-injection hook: perturb the replicated bytes a shared read
@@ -89,10 +83,9 @@ type t = {
   relaxed_checks_c : Metrics.counter;
   deferred_batch_h : Metrics.histogram;
   mutable last_rendezvous_instr : int;
-  (* Relaxed-engine state (coordinator-owned): per-variant queues of
-     posted-but-unchecked relaxed calls, the parked arrival per
-     variant, and the size of the deferred batch flushed since the
-     last flush boundary. *)
+  (* Relaxed-engine state: per-variant queues of posted-but-unchecked
+     relaxed calls, the parked arrival per variant, and the size of the
+     deferred batch flushed since the last flush boundary. *)
   deferred : relaxed_record Queue.t array;
   arrivals : arrival option array;
   mutable flush_batch : int;
@@ -102,10 +95,9 @@ type t = {
   calls_by_number : Metrics.counter option array;
   latency_by_number : Metrics.histogram option array;
   canon_scratch : int array;
-  (* Flight recorder: one ring per variant (owned by that variant's
-     domain while it is released, like [Image.loaded]) plus a
-     coordinator ring for rendezvous/flush/alarm events. Disabled by
-     default; every recording site is gated on one atomic load. *)
+  (* Flight recorder: one ring per variant plus a coordinator ring for
+     rendezvous/flush/alarm events. Disabled by default; every
+     recording site is gated on one atomic load. *)
   trace : Trace.t;
   trace_variants : Trace.ring array;
   trace_coord : Trace.ring;
@@ -116,12 +108,8 @@ type t = {
    a by-name lookup (they only occur on unknown-syscall attacks). *)
 let syscall_slots = 32
 
-let create ?metrics ?parallel ?engine
-    ?(segment_size = Variation.default_segment_size)
+let create ?metrics ?engine ?(segment_size = Variation.default_segment_size)
     ?(stack_size = 64 * 1024) ~kernel ~variation images =
-  let parallel =
-    match parallel with Some b -> b | None -> Dompool.env_default ()
-  in
   let n = Variation.count variation in
   if Array.length images <> n then
     invalid_arg "Monitor.create: need exactly one image per variant";
@@ -146,8 +134,8 @@ let create ?metrics ?parallel ?engine
   let scope = Metrics.scope metrics "monitor" in
   let checks_scope = Metrics.sub scope "checks" in
   (* Chrome-export lanes: tid 0..n-1 = variants, n = coordinator,
-     n+1 = kernel dispatch. The kernel runs on the coordinating domain
-     only, timestamped by the total retired-instruction clock. *)
+     n+1 = kernel dispatch, timestamped by the total retired-instruction
+     clock. *)
   let trace = Trace.create () in
   let trace_variants =
     Array.init n (fun i ->
@@ -162,7 +150,6 @@ let create ?metrics ?parallel ?engine
     kernel;
     variation;
     variants;
-    parallel;
     tracer = None;
     signal = None;
     input_fault = None;
@@ -217,7 +204,7 @@ let latency_histogram t n =
 
 let kernel t = t.kernel
 
-let parallel t = t.parallel
+let parallel _ = false
 
 let variation t = t.variation
 
@@ -386,11 +373,10 @@ let deliver_same t result =
 
 (* Dispatch-time breadcrumbs go two ways: the legacy [set_tracer]
    callback (raw argument images included) and, when the flight
-   recorder is on, a [Note] in the coordinator ring. Both run on the
-   coordinating domain at points where every variant is parked, so the
-   retired-total timestamp is mode-independent. Callers format a note
-   only when [notes_wanted] holds: with neither reader, the rendezvous
-   path builds no strings. *)
+   recorder is on, a [Note] in the coordinator ring. Both run while
+   every variant is parked, stamped with the retired total. Callers
+   format a note only when [notes_wanted] holds: with neither reader,
+   the rendezvous path builds no strings. *)
 let notes_wanted t = Trace.enabled t.trace || Option.is_some t.tracer
 
 let note t ~ts ~syscall ev_raw_args text =
@@ -421,13 +407,13 @@ let cc_compute n a b =
   else not (Word.lt_unsigned a b)
 
 (* Execute a relaxed syscall locally for variant [i] and return the
-   record the coordinator will cross-check later. Runs on the variant's
-   domain: [cred] is the coordinator's snapshot of the kernel
-   credentials (stable for the whole release — every credential
-   mutation is a Sensitive call, which parks all variants first), and
-   everything touched is variant-[i]-owned per the concurrency
-   discipline. The result each variant computes is exactly what the
-   eager dispatch would have delivered to it. *)
+   record the coordinator will cross-check later. [cred] is the
+   coordinator's snapshot of the kernel credentials (stable for the
+   whole release — every credential mutation is a Sensitive call,
+   which parks all variants first), and everything touched is
+   variant-[i]-owned per the release discipline. The result each
+   variant computes is exactly what the eager dispatch would have
+   delivered to it. *)
 let relaxed_call t i ~cred ~trace_args n =
   let cpu = t.variants.(i).Image.cpu in
   let raw = Sysabi.of_cpu cpu in
@@ -450,11 +436,6 @@ let relaxed_call t i ~cred ~trace_args n =
     end
   in
   let rc_raw = if trace_args then Array.copy raw.Sysabi.args else [||] in
-  (* Variant-ring recording: runs on whichever domain owns variant [i]
-     right now (its pinned domain during a release, the coordinator on
-     the hybrid-position path — never both). The canonical argument
-     images and the result are deterministic, so sequential and
-     parallel runs record the identical pair. *)
   (if Trace.enabled t.trace then begin
      let ring = t.trace_variants.(i) in
      let ts = Cpu.instructions_retired cpu in
@@ -851,10 +832,7 @@ let deliver_signal t i ~handler =
   let v = t.variants.(i) in
   let cpu = v.Image.cpu in
   (* Recorded at the injection point, before the handler runs: a
-     failed delivery still leaves its attempt in the flight recorder.
-     Writes variant [i]'s ring from whichever domain owns the variant
-     at the delivery site (its own for Immediate, the coordinator for
-     At_rendezvous — where every variant is parked). *)
+     failed delivery still leaves its attempt in the flight recorder. *)
   (if Trace.enabled t.trace then
      let immediate =
        match t.signal with Some { mode = Immediate _; _ } -> true | Some _ | None -> false
@@ -892,9 +870,9 @@ let clear_if_fully_delivered t =
 
 (* Run variant [i] to its next trap, honouring a pending Immediate
    signal: once the variant crosses its delivery threshold, the handler
-   is injected and execution continues. Domain-safe per the discipline
-   above: reads [t.signal] (stable across a quantum — only the
-   coordinator writes it, between joins), writes only variant-[i]
+   is injected and execution continues. Per the release discipline
+   above: reads [t.signal] (stable across a release — only the
+   coordinator writes it, between rounds), writes only variant-[i]
    state and the variant's own [delivered.(i)] slot. *)
 let run_variant_to_trap t i ~fuel =
   let cpu = t.variants.(i).Image.cpu in
@@ -925,14 +903,11 @@ let run_variant_to_trap t i ~fuel =
   go fuel
 
 (* Release variant [i] for a multi-call stretch: run to the next trap,
-   execute relaxed syscalls locally (posting a record through [emit]
-   and continuing), and stop with an [arrival] at the first sensitive
-   call, fault, halt, fuel exhaustion or exception. [fuel] is the whole
-   round budget, an engine-defined cutoff identical in both execution
-   modes (so where a variant stops — and therefore every downstream
-   check — is mode-independent). Runs on the variant's domain in
-   parallel mode; everything touched is variant-[i]-owned. *)
-let run_variant_release t i ~fuel ~cred ~relaxed_ok ~trace_args ~emit =
+   execute relaxed syscalls locally (adding a record to its deferred
+   queue and continuing), and stop with an [arrival] at the first
+   sensitive call, fault, halt, fuel exhaustion or exception. [fuel] is
+   the whole round budget. Everything touched is variant-[i]-owned. *)
+let run_variant_release t i ~fuel ~cred ~relaxed_ok ~trace_args =
   let cpu = t.variants.(i).Image.cpu in
   let start = Cpu.instructions_retired cpu in
   if Trace.enabled t.trace then
@@ -948,7 +923,7 @@ let run_variant_release t i ~fuel ~cred ~relaxed_ok ~trace_args ~emit =
       | Cpu.Trapped Cpu.Syscall_trap ->
         let n = (Sysabi.of_cpu cpu).Sysabi.number in
         if relaxed_ok && Syscall.is_relaxed n then begin
-          emit (relaxed_call t i ~cred ~trace_args n);
+          Queue.add (relaxed_call t i ~cred ~trace_args n) t.deferred.(i);
           go ()
         end
         else A_syscall
@@ -962,201 +937,6 @@ let run_variant_release t i ~fuel ~cred ~relaxed_ok ~trace_args ~emit =
   arrival
 
 (* ------------------------------------------------------------------ *)
-(* Pinned-domain engine                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Spin-then-park doorbell. The waiter spins briefly on its poll, then
-   publishes [asleep] and re-polls before blocking; a ringer makes its
-   state visible (an SPSC push is an [Atomic] store) and then reads
-   [asleep]. Sequential consistency of the two atomics closes the
-   sleep/ring race: if the ringer misses [asleep], the waiter's re-poll
-   is ordered after the ringer's push and sees the state change. *)
-type doorbell = {
-  db_mutex : Mutex.t;
-  db_cond : Condition.t;
-  db_asleep : bool Atomic.t;
-}
-
-let doorbell () =
-  { db_mutex = Mutex.create (); db_cond = Condition.create (); db_asleep = Atomic.make false }
-
-let bell_ring b =
-  if Atomic.get b.db_asleep then begin
-    Mutex.lock b.db_mutex;
-    Condition.broadcast b.db_cond;
-    Mutex.unlock b.db_mutex
-  end
-
-let bell_spins = 128
-
-let bell_wait b poll =
-  let rec spin k =
-    if poll () then true
-    else if k = 0 then false
-    else begin
-      Domain.cpu_relax ();
-      spin (k - 1)
-    end
-  in
-  if not (spin bell_spins) then begin
-    Mutex.lock b.db_mutex;
-    Atomic.set b.db_asleep true;
-    while not (poll ()) do
-      Condition.wait b.db_cond b.db_mutex
-    done;
-    Atomic.set b.db_asleep false;
-    Mutex.unlock b.db_mutex
-  end
-
-(* Per-variant command/event channel between the coordinator and the
-   variant's pinned domain. The command ring never holds more than one
-   release plus the final stop; the event ring absorbs a burst of
-   relaxed records before the producer has to wake the coordinator. *)
-type cmd =
-  | C_release of { fuel : int; cred : Cred.t; relaxed_ok : bool; trace_args : bool }
-  | C_stop
-
-type evt = E_record of relaxed_record | E_arrival of arrival
-
-type link = {
-  lk_cmd : cmd Spsc.t;
-  lk_evt : evt Spsc.t;
-  lk_bell : doorbell;  (* the variant domain parks here *)
-}
-
-let evt_ring_capacity = 512
-
-(* Body of one pinned variant domain: park until a command arrives,
-   run the release, stream records and the final arrival back, repeat
-   until stopped. The only monitor state it touches is variant-[i]'s.
-
-   Wakeup discipline: the coordinator only needs to hear about the
-   {e arrival} (the round cannot end before it) and about back-pressure
-   (a full event ring it must drain). A successfully-pushed record is
-   silent — the coordinator will find it when the arrival wakes it —
-   which keeps the hot path free of futex traffic. *)
-let variant_domain t i link coord_bell =
-  let push ~urgent evt =
-    let rec go () =
-      if Spsc.try_push link.lk_evt evt then begin
-        if urgent then bell_ring coord_bell
-      end
-      else begin
-        (* Ring full: make sure the consumer is awake, then park until
-           it drains a slot. *)
-        bell_ring coord_bell;
-        bell_wait link.lk_bell (fun () ->
-            Spsc.length link.lk_evt < Spsc.capacity link.lk_evt);
-        go ()
-      end
-    in
-    go ()
-  in
-  let rec serve () =
-    bell_wait link.lk_bell (fun () -> Spsc.length link.lk_cmd > 0);
-    match Spsc.try_pop link.lk_cmd with
-    | None -> serve ()
-    | Some C_stop -> ()
-    | Some (C_release { fuel; cred; relaxed_ok; trace_args }) ->
-      let emit rc = push ~urgent:false (E_record rc) in
-      push ~urgent:true
-        (E_arrival (run_variant_release t i ~fuel ~cred ~relaxed_ok ~trace_args ~emit));
-      serve ()
-  in
-  serve ()
-
-(* Coordinator side of one round: release the given variants on their
-   domains, then drain their event rings — records into the deferred
-   queues in production order, arrivals into [t.arrivals] — until every
-   released variant has arrived. Popping a variant's arrival happens
-   strictly after all its records (SPSC FIFO), so the queues are
-   complete when the round ends. *)
-let run_round_parallel t links coord_bell ~released ~fuel ~cred ~relaxed_ok ~trace_args =
-  let n = Array.length links in
-  let waiting = Array.make n false in
-  let pending = ref 0 in
-  Array.iter
-    (fun i ->
-      waiting.(i) <- true;
-      incr pending;
-      if not (Spsc.try_push links.(i).lk_cmd (C_release { fuel; cred; relaxed_ok; trace_args }))
-      then assert false;
-      bell_ring links.(i).lk_bell)
-    released;
-  let poll () =
-    let any = ref false in
-    for i = 0 to n - 1 do
-      if waiting.(i) && Spsc.length links.(i).lk_evt > 0 then any := true
-    done;
-    !any
-  in
-  while !pending > 0 do
-    let progress = ref false in
-    for i = 0 to n - 1 do
-      if waiting.(i) then begin
-        let drained = ref false in
-        let continue_ = ref true in
-        while !continue_ do
-          match Spsc.try_pop links.(i).lk_evt with
-          | None -> continue_ := false
-          | Some (E_record rc) ->
-            drained := true;
-            Queue.add rc t.deferred.(i)
-          | Some (E_arrival a) ->
-            drained := true;
-            t.arrivals.(i) <- Some a;
-            waiting.(i) <- false;
-            decr pending;
-            continue_ := false
-        done;
-        (* A producer parks on a full ring, and nothing but this loop
-           drains it. The ring can fill up while the drain is running
-           (the producer outpacing a descheduled coordinator), so any
-           drain may owe a wake; ringing an awake producer costs one
-           atomic load. *)
-        if !drained then begin
-          progress := true;
-          bell_ring links.(i).lk_bell
-        end
-      end
-    done;
-    if !pending > 0 && not !progress then bell_wait coord_bell poll
-  done
-
-(* Spawn one pinned domain per variant for the duration of [f]; domains
-   are joined on every exit path. Domain spawn/join is per-[run], not
-   per-rendezvous — the old engine paid a pool handoff per syscall. *)
-let with_engine t f =
-  if not t.parallel then f None
-  else begin
-    let coord_bell = doorbell () in
-    let links =
-      Array.map
-        (fun _ ->
-          {
-            lk_cmd = Spsc.create ~capacity:2;
-            lk_evt = Spsc.create ~capacity:evt_ring_capacity;
-            lk_bell = doorbell ();
-          })
-        t.variants
-    in
-    let domains =
-      Array.mapi
-        (fun i link -> Domain.spawn (fun () -> variant_domain t i link coord_bell))
-        links
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter
-          (fun link ->
-            if not (Spsc.try_push link.lk_cmd C_stop) then assert false;
-            bell_ring link.lk_bell)
-          links;
-        Array.iter Domain.join domains)
-      (fun () -> f (Some (links, coord_bell)))
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Lockstep execution                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1167,10 +947,7 @@ let forensics_tail = 32
    the canonical kernel credentials plus each variant's reexpressed
    view of them, every variant's register file / pc / retired count,
    and the tail of every flight-recorder ring. Built on the
-   coordinator; in parallel mode every variant domain is parked when
-   an alarm is classified, and its arrival was popped from the SPSC
-   ring after its last ring write, so reading the rings here is
-   ordered. *)
+   coordinator while every variant is parked. *)
 let build_forensics t reason =
   let open Metrics.Json in
   let num i = Num (float_of_int i) in
@@ -1230,9 +1007,7 @@ let alarmed t reason =
 
 (* The run loop: rounds of released execution separated by coordinator
    turns. Per round, every variant without a parked arrival is released
-   for a multi-call stretch (inline when sequential, on its pinned
-   domain when parallel — the protocol is otherwise identical, which is
-   what makes seq==par bit-determinism hold); the coordinator then
+   for a multi-call stretch, in index order; the coordinator then
    cross-checks every complete deferred position, handles exceptional
    arrivals in deterministic (lowest-index) order, and performs a full
    rendezvous once every variant is parked live at a sensitive call.
@@ -1248,16 +1023,14 @@ let run ?(fuel = 50_000_000) t =
     if Trace.enabled t.trace then Trace.publish t.trace t.metrics;
     outcome
   in
-  with_engine t @@ fun engine ->
   let rec loop () =
     let remaining = deadline - instructions_retired t in
     if remaining <= 0 then finish Out_of_fuel
     else begin
       (* Round parameters, fixed by the coordinator before any variant
-         moves: identical in both modes and stable for the round. While
-         an [At_rendezvous] signal is pending, relaxation is off — every
-         trap is an arrival, so the delivery point is a full rendezvous
-         in both modes. *)
+         moves and stable for the round. While an [At_rendezvous]
+         signal is pending, relaxation is off — every trap is an
+         arrival, so the delivery point is a full rendezvous. *)
       let relaxed_ok =
         match t.signal with Some { mode = At_rendezvous; _ } -> false | Some _ | None -> true
       in
@@ -1268,22 +1041,11 @@ let run ?(fuel = 50_000_000) t =
       let delivered_before =
         match t.signal with Some s -> Array.copy s.delivered | None -> [||]
       in
-      (match engine with
-      | None ->
-        for i = 0 to n - 1 do
-          if t.arrivals.(i) = None then
-            t.arrivals.(i) <-
-              Some
-                (run_variant_release t i ~fuel:remaining ~cred ~relaxed_ok ~trace_args
-                   ~emit:(fun rc -> Queue.add rc t.deferred.(i)))
-        done
-      | Some (links, coord_bell) ->
-        let released = ref [] in
-        for i = n - 1 downto 0 do
-          if t.arrivals.(i) = None then released := i :: !released
-        done;
-        run_round_parallel t links coord_bell ~released:(Array.of_list !released)
-          ~fuel:remaining ~cred ~relaxed_ok ~trace_args);
+      for i = 0 to n - 1 do
+        if t.arrivals.(i) = None then
+          t.arrivals.(i) <-
+            Some (run_variant_release t i ~fuel:remaining ~cred ~relaxed_ok ~trace_args)
+      done;
       (* Coordinator-side signal bookkeeping for this round. *)
       (match t.signal with
       | Some s ->
@@ -1309,8 +1071,7 @@ let run ?(fuel = 50_000_000) t =
       match flush_prefix t with
       | Error reason -> finish (alarmed t reason)
       | Ok () -> (
-        (* Deterministic failure order: the lowest variant index wins,
-           regardless of which domain finished first. *)
+        (* Deterministic failure order: the lowest variant index wins. *)
         let first_raised = ref None in
         Array.iter
           (fun a ->

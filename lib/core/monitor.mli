@@ -36,7 +36,6 @@ type t
 
 val create :
   ?metrics:Nv_util.Metrics.t ->
-  ?parallel:bool ->
   ?engine:Nv_vm.Memory.engine ->
   ?segment_size:int ->
   ?stack_size:int ->
@@ -53,25 +52,21 @@ val create :
     [metrics] is the registry the monitor reports into; by default it
     shares the kernel's, so one registry covers the whole system.
 
-    [parallel] selects domain-parallel variant execution: for the
-    duration of each {!run} call every variant is pinned to its own
-    long-lived domain, communicating with the coordinator over bounded
-    lock-free SPSC rings ({!Nv_util.Spsc}) — no pool handoff or join
-    per rendezvous. Parallel mode is bit-deterministic — identical
-    outcomes, alarms, final registers/memory, and metric values as
-    sequential mode (enforced by [test/test_parallel.ml]). Defaults to
-    the [NV_PARALLEL] environment variable
-    ({!Nv_util.Dompool.env_default}).
-
     [engine] pins every variant segment's execution tier
     ({!Nv_vm.Memory.engine}: the [Block] compiler or the [Reference]
     oracle); when omitted, segments keep their creation default
-    ([NV_ENGINE], otherwise [Block]). *)
+    ([NV_ENGINE], otherwise [Block]). The two engines are
+    bit-identical at the monitor level: same outcomes, alarms, final
+    registers/memory, metric values and trace streams (enforced by
+    [test/test_differential.ml]). *)
 
 val kernel : t -> Nv_os.Kernel.t
 
 val parallel : t -> bool
-(** Whether {!run} pins each variant to its own domain. *)
+(** Always [false]: {!run} releases every variant inline on the calling
+    domain. Kept only because the served-request benchmark harness
+    ([perfbench/]) prints it; it goes once that harness stops reading
+    it. *)
 
 (** Size of the per-syscall-number metric-handle fast path; every
     [Nv_os.Syscall] number must stay below this. *)
@@ -88,8 +83,8 @@ val run : ?fuel:int -> t -> outcome
     guest instructions across all variants, default 50 million) is
     exhausted. Resumable after [Blocked_on_accept].
 
-    Execution uses relaxed monitoring (in both sequential and parallel
-    mode, so their behaviour stays identical): {e sensitive} syscalls
+    Execution uses relaxed monitoring, run inline on the calling
+    domain: {e sensitive} syscalls
     ({!Nv_os.Syscall.sensitivity}) are full rendezvous points — every
     variant arrives, canonical arguments are compared, and the
     coordinator performs the kernel call once as the leader,
@@ -153,14 +148,13 @@ val set_tracer : t -> (event -> unit) -> unit
 (** {1 Flight recorder}
 
     Every monitor owns a disabled {!Nv_util.Trace} session with one
-    ring per variant (tid [0..n-1]; owned by that variant's domain
-    while it is released, so recording is lock-free), a coordinator
-    ring (tid [n]: full and relaxed rendezvous, deferred-flush
-    boundaries, dispatch breadcrumbs, alarms) and a kernel ring (tid
-    [n+1]: every kernel dispatch). Timestamps are retired-instruction
-    counts — the variant's own for its ring, the all-variant total for
-    the coordinator and kernel — so sequential and parallel runs of
-    the same program record bit-identical streams. Enable with
+    ring per variant (tid [0..n-1]), a coordinator ring (tid [n]: full
+    and relaxed rendezvous, deferred-flush boundaries, dispatch
+    breadcrumbs, alarms) and a kernel ring (tid [n+1]: every kernel
+    dispatch). Timestamps are retired-instruction counts — the
+    variant's own for its ring, the all-variant total for the
+    coordinator and kernel — so runs of the same program under either
+    engine record bit-identical streams. Enable with
     [Trace.set_enabled (trace_session t) true]; when disabled every
     recording site costs one atomic load and allocates nothing. *)
 

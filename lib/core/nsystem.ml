@@ -48,17 +48,17 @@ let standard_vfs ?(users = 0) ~variation () =
     ~path:"/var/log/httpd.log" "";
   vfs
 
-let create ?vfs ?parallel ?engine ?segment_size ?recover ~variation images =
+let create ?vfs ?engine ?segment_size ?recover ~variation images =
   let vfs = match vfs with Some v -> v | None -> standard_vfs ~variation () in
   let kernel = Kernel.create ~variants:(Variation.count variation) vfs in
-  let monitor = Monitor.create ?parallel ?engine ?segment_size ~kernel ~variation images in
+  let monitor = Monitor.create ?engine ?segment_size ~kernel ~variation images in
   let supervisor =
     Option.map (fun config -> Supervisor.create ~config monitor) recover
   in
   { kernel; monitor; variation; supervisor }
 
-let of_one_image ?vfs ?parallel ?engine ?segment_size ?recover ~variation image =
-  create ?vfs ?parallel ?engine ?segment_size ?recover ~variation
+let of_one_image ?vfs ?engine ?segment_size ?recover ~variation image =
+  create ?vfs ?engine ?segment_size ?recover ~variation
     (Array.make (Variation.count variation) image)
 
 let kernel t = t.kernel

@@ -21,22 +21,20 @@ val standard_vfs : ?users:int -> variation:Variation.t -> unit -> Nv_os.Vfs.t
 
 val create :
   ?vfs:Nv_os.Vfs.t ->
-  ?parallel:bool ->
   ?engine:Nv_vm.Memory.engine ->
   ?segment_size:int ->
   ?recover:Supervisor.config ->
   variation:Variation.t ->
   Nv_vm.Image.t array ->
   t
-(** Build the system. [images], [parallel] and [engine] as in
-    {!Monitor.create}. When [vfs] is omitted, {!standard_vfs} is used.
-    When [recover] is given, a {!Supervisor} with that config wraps the
-    monitor: {!run} and {!serve} then roll back and resume on alarms
-    instead of fail-stopping, until the restart budget is exhausted. *)
+(** Build the system. [images] and [engine] as in {!Monitor.create}.
+    When [vfs] is omitted, {!standard_vfs} is used. When [recover] is
+    given, a {!Supervisor} with that config wraps the monitor: {!run}
+    and {!serve} then roll back and resume on alarms instead of
+    fail-stopping, until the restart budget is exhausted. *)
 
 val of_one_image :
   ?vfs:Nv_os.Vfs.t ->
-  ?parallel:bool ->
   ?engine:Nv_vm.Memory.engine ->
   ?segment_size:int ->
   ?recover:Supervisor.config ->

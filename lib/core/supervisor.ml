@@ -54,8 +54,8 @@ let create ?(config = default_config) monitor =
       exhausted = false;
       recovery_records = [];
       (* The supervisor lane sits past the monitor's variant /
-         coordinator / kernel tids; it only records on the
-         coordinating domain, between [Monitor.run] calls. *)
+         coordinator / kernel tids; it only records between
+         [Monitor.run] calls. *)
       trace_ring =
         Trace.ring
           (Monitor.trace_session monitor)

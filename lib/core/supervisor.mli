@@ -17,9 +17,9 @@
       [recovery_window] rendezvous — bounds deterministic crash loops,
       degrading to the paper's fail-stop behaviour once exhausted.
 
-    Recovery is bit-deterministic: sequential and parallel
-    ([NV_PARALLEL]) executions take identical checkpoints, roll back at
-    identical points and produce identical metrics. *)
+    Recovery is bit-deterministic: runs under either execution engine
+    ([NV_ENGINE]) take identical checkpoints, roll back at identical
+    points and produce identical metrics. *)
 
 type config = {
   checkpoint_interval : int;

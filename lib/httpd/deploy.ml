@@ -63,21 +63,21 @@ let world ?users variation =
   Site.install vfs;
   vfs
 
-let build ?(log_uid = true) ?mode ?parallel ?engine ?recover ?users config =
+let build ?(log_uid = true) ?mode ?engine ?recover ?users config =
   let variation = variation config in
   let vfs = world ?users variation in
   let source = Httpd_source.source ~log_uid () in
   match config with
   | Unmodified_single | Two_variant_address ->
     (match Nv_minic.Codegen.compile_source source with
-    | image -> Ok (Nsystem.of_one_image ~vfs ?parallel ?engine ?recover ~variation image)
+    | image -> Ok (Nsystem.of_one_image ~vfs ?engine ?recover ~variation image)
     | exception Nv_minic.Codegen.Error message -> Error message)
   | Transformed_single | Two_variant_uid | Shared_key_three | Rotation_only_three
   | Seeded_three | Composed_three | Composed_four -> (
     match Ut.transform_source ?mode ~variation source with
     | Error _ as e -> e
     | Ok (images, _report) ->
-      Ok (Nsystem.create ~vfs ?parallel ?engine ?recover ~variation images))
+      Ok (Nsystem.create ~vfs ?engine ?recover ~variation images))
 
 let transform_report ?(log_uid = true) ?mode () =
   let source = Httpd_source.source ~log_uid () in

@@ -53,7 +53,6 @@ val variation : config -> Nv_core.Variation.t
 val build :
   ?log_uid:bool ->
   ?mode:Nv_transform.Uid_transform.mode ->
-  ?parallel:bool ->
   ?engine:Nv_vm.Memory.engine ->
   ?recover:Nv_core.Supervisor.config ->
   ?users:int ->
@@ -62,8 +61,7 @@ val build :
 (** Compile (and transform, for configurations 2 and 4) the server,
     populate the world (standard files + document root + diversified
     unshared copies), and assemble the system. Each call builds a fresh
-    system. [parallel] and [engine] as in {!Nv_core.Monitor.create};
-    [recover]
+    system. [engine] as in {!Nv_core.Monitor.create}; [recover]
     attaches a recovery supervisor as in {!Nv_core.Nsystem.create};
     [users] appends that many synthetic passwd entries to the world as
     in {!Nv_core.Nsystem.standard_vfs} (keep it modest — the guest

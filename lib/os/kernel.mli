@@ -59,8 +59,8 @@ val set_trace : t -> ring:Nv_util.Trace.ring -> clock:(unit -> int) -> unit
 (** Route every dispatched syscall as a [Kernel_call] event into [ring]
     (timestamped by [clock]) whenever the ring's session is enabled.
     The monitor installs this with its own retired-instruction clock;
-    the kernel runs on the coordinating domain only, so the ring is
-    single-writer. *)
+    only the monitor's coordinator calls into the kernel, so the ring
+    is single-writer. *)
 
 (** {1 Canonical syscall implementations}
 

@@ -10,8 +10,9 @@ type conn = {
 
 type listener = { queue : conn Queue.t }
 
-(* Atomic: systems in different domains (parallel attack campaign,
-   bench fan-out) allocate connection ids concurrently. *)
+(* Atomic: systems in different domains (attack-matrix cells and bench
+   configurations under [Par.map_array]) allocate connection ids
+   concurrently. *)
 let next_id = Atomic.make 0
 
 let make_listener () = { queue = Queue.create () }

@@ -1,8 +1,8 @@
-(** Flight-recorder tracing: per-domain bounded event rings.
+(** Flight-recorder tracing: bounded event rings.
 
     A {!t} is a trace session owning a set of fixed-capacity {!ring}s.
-    Each ring is single-writer — the domain that owns it records
-    without any locking — and holds the most recent events: when full,
+    Each ring is single-writer — its owner records without any
+    locking — and holds the most recent events: when full,
     recording drops the oldest event and bumps a dropped counter, so a
     ring always retains the tail of the execution that led up to the
     present (the property a post-mortem needs).
@@ -13,13 +13,12 @@
     atomic load and a branch, and allocates nothing because the event
     constructor sits inside the guard. Everything here is deterministic:
     timestamps come from the caller (retired instruction counts,
-    simulated seconds), never the host clock, so sequential and
-    parallel runs of the same program record identical streams.
+    simulated seconds), never the host clock, so runs of the same
+    program under either execution engine record identical streams.
 
-    Rings are snapshotted by a coordinator only after their owning
-    domain has quiesced (e.g. after its arrival was popped from an SPSC
-    ring, which publishes all prior writes); the structure itself does
-    no cross-domain synchronization beyond the enable flag. *)
+    Read a ring only once its writer has stopped recording; the
+    structure itself does no cross-domain synchronization beyond the
+    enable flag. *)
 
 type t
 (** A trace session: enable flag + registered rings. *)
@@ -75,12 +74,12 @@ val enabled_ring : ring -> bool
 
 val ring : t -> name:string -> pid:int -> tid:int -> ring
 (** Register a new ring. Registration is not thread-safe: create all
-    rings from the coordinating domain before handing each to its
-    owner. [pid]/[tid] name the Chrome trace process/thread rows
-    (pid = replica, tid = variant or coordinator lane). *)
+    rings before handing each to its writer. [pid]/[tid] name the
+    Chrome trace process/thread rows (pid = replica, tid = variant or
+    coordinator lane). *)
 
 val record : ring -> ts:int -> kind -> unit
-(** Append from the owning domain. No-op when the session is disabled
+(** Append from the ring's single writer. No-op when the session is disabled
     (call sites should still guard with {!enabled} to avoid
     constructing the event). Drops the oldest event when full. *)
 

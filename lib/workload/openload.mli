@@ -8,8 +8,8 @@
     indexed {!Nv_os.Passwd} lookups — so the per-request UID work that
     the paper's diversity scheme multiplies stays O(log n) even at a
     million users. Fully deterministic for a fixed seed, independently
-    of [NV_PARALLEL] (the measured demand samples are themselves
-    bit-deterministic across sequential and parallel monitors). *)
+    of the execution engine (the measured demand samples are
+    retired-instruction counts, identical under every engine). *)
 
 type spec = {
   replicas : int;

@@ -243,19 +243,19 @@ let test_fleetsim_trace_and_log_level () =
     (contains trace "health:");
   Alcotest.(check bool) "replica lanes named" true (contains trace "replica 0")
 
-let test_fleetsim_deterministic_across_parallel () =
-  let invoke parallel =
+let test_fleetsim_deterministic_across_engines () =
+  let invoke engine =
     run_capture
       (Printf.sprintf
          "../bin/fleetsim.exe --replicas 2 --rate 150 --duration 2 --users 5000 \
-          --seed 7 --parallel %s"
-         parallel)
+          --seed 7 --engine %s"
+         engine)
   in
-  let status_seq, seq = invoke "off" in
-  let status_par, par = invoke "on" in
-  Alcotest.(check int) "seq exit 0" 0 status_seq;
-  Alcotest.(check int) "par exit 0" 0 status_par;
-  Alcotest.(check string) "identical fleet reports" seq par
+  let status_ref, reference = invoke "reference" in
+  let status_block, block = invoke "block" in
+  Alcotest.(check int) "reference exit 0" 0 status_ref;
+  Alcotest.(check int) "block exit 0" 0 status_block;
+  Alcotest.(check string) "identical fleet reports" reference block
 
 let () =
   Alcotest.run "nv_cli"
@@ -292,6 +292,6 @@ let () =
           Alcotest.test_case "trace-out and log-level" `Quick
             test_fleetsim_trace_and_log_level;
           Alcotest.test_case "seq/par identical" `Quick
-            test_fleetsim_deterministic_across_parallel;
+            test_fleetsim_deterministic_across_engines;
         ] );
     ]

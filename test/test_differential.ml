@@ -1,13 +1,15 @@
-(* Differential suite for domain-parallel variant execution.
+(* Monitor-level differential suite for the execution engines.
 
-   The contract under test (lib/core/monitor.ml, "Concurrency
-   discipline"): a monitor created with [~parallel:true] is
-   bit-deterministic with respect to sequential stepping — identical
-   outcomes, alarms, final registers/memory, and metric values — for
-   every program, including ones that raise alarms mid-quantum and
-   ones with pending signal deliveries. Mirrors the cached-vs-reference
-   differential pattern of test_perf.ml: build the same system twice,
-   drive both identically, compare complete fingerprints. *)
+   The contract under test: a monitor whose variants run on the
+   reference decoder and one whose variants run on the block compiler
+   are bit-identical — identical outcomes, alarms, final
+   registers/memory, and metric values — for every program, including
+   ones that raise alarms mid-release and ones with pending signal
+   deliveries. test_perf.ml compares the engines on a bare CPU; this
+   suite compares them through the relaxed protocol, signals, rollback,
+   the case-study server and the supervisor. Both systems name their
+   engine explicitly, so the comparison holds whatever [NV_ENGINE]
+   says. *)
 
 module Alarm = Nv_core.Alarm
 module Monitor = Nv_core.Monitor
@@ -25,10 +27,8 @@ module Memory = Nv_vm.Memory
 module Image = Nv_vm.Image
 module Isa = Nv_vm.Isa
 module Word = Nv_vm.Word
-module Dompool = Nv_util.Dompool
 module Metrics = Nv_util.Metrics
 module Prng = Nv_util.Prng
-module Spsc = Nv_util.Spsc
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                        *)
@@ -63,20 +63,25 @@ let fingerprint sys =
   Buffer.add_string b (Metrics.to_text (Nsystem.metrics sys));
   Buffer.contents b
 
-(* Build the same system twice — sequential and parallel — drive both
-   with [drive] (which returns a transcript of what it observed), and
-   require transcript + fingerprint equality. *)
+let runs_on engine sys =
+  let monitor = Nsystem.monitor sys in
+  List.for_all
+    (fun i -> Memory.engine (Monitor.loaded monitor i).Image.memory = engine)
+    (List.init (Monitor.variant_count monitor) Fun.id)
+
+(* Build the same system twice — reference and block engine — drive
+   both with [drive] (which returns a transcript of what it observed),
+   and require transcript + fingerprint equality. *)
 let assert_equivalent ~what ~build ~drive =
-  let seq_sys = build ~parallel:false in
-  let par_sys = build ~parallel:true in
-  Alcotest.(check bool) (what ^ ": parallel flag") true
-    (Monitor.parallel (Nsystem.monitor par_sys)
-    && not (Monitor.parallel (Nsystem.monitor seq_sys)));
-  let seq_log = drive seq_sys in
-  let par_log = drive par_sys in
-  Alcotest.(check string) (what ^ ": transcript") seq_log par_log;
-  Alcotest.(check string) (what ^ ": final state") (fingerprint seq_sys)
-    (fingerprint par_sys)
+  let ref_sys = build ~engine:Memory.Reference in
+  let block_sys = build ~engine:Memory.Block in
+  Alcotest.(check bool) (what ^ ": engines") true
+    (runs_on Memory.Reference ref_sys && runs_on Memory.Block block_sys);
+  let ref_log = drive ref_sys in
+  let block_log = drive block_sys in
+  Alcotest.(check string) (what ^ ": transcript") ref_log block_log;
+  Alcotest.(check string) (what ^ ": final state") (fingerprint ref_sys)
+    (fingerprint block_sys)
 
 (* ------------------------------------------------------------------ *)
 (* Random raw-instruction programs                                     *)
@@ -181,22 +186,22 @@ let test_random_programs () =
     let variation = random_variations.(seed mod Array.length random_variations) in
     assert_equivalent
       ~what:(Printf.sprintf "random seed %d" seed)
-      ~build:(fun ~parallel ->
-        Nsystem.of_one_image ~parallel ~segment_size:(1 lsl 17) ~variation image)
+      ~build:(fun ~engine ->
+        Nsystem.of_one_image ~engine ~segment_size:(1 lsl 17) ~variation image)
       ~drive:(drive_to_rest 30_000)
   done
 
 let test_random_programs_fuel_slices () =
   (* Same comparison but stepping each system in small fuel slices:
-     quantum boundaries land mid-program, so the Out_of_fuel path and
-     resumability must also be mode-independent. *)
+     release boundaries land mid-program, so the Out_of_fuel path and
+     resumability must also be engine-independent. *)
   for seed = 41 to 52 do
     let image = gen_image (Prng.create ~seed) in
     let variation = random_variations.(seed mod Array.length random_variations) in
     assert_equivalent
       ~what:(Printf.sprintf "fuel-sliced seed %d" seed)
-      ~build:(fun ~parallel ->
-        Nsystem.of_one_image ~parallel ~segment_size:(1 lsl 17) ~variation image)
+      ~build:(fun ~engine ->
+        Nsystem.of_one_image ~engine ~segment_size:(1 lsl 17) ~variation image)
       ~drive:(fun sys ->
         let b = Buffer.create 64 in
         for _ = 1 to 6 do
@@ -212,8 +217,8 @@ let test_random_programs_fuel_slices () =
 
 let compile source = Nv_minic.Codegen.compile_source (Nv_minic.Runtime.with_runtime source)
 
-let build_minic ?(variation = Variation.uid_diversity) source ~parallel =
-  Nsystem.of_one_image ~parallel ~segment_size:(1 lsl 17) ~variation (compile source)
+let build_minic ?(variation = Variation.uid_diversity) source ~engine =
+  Nsystem.of_one_image ~engine ~segment_size:(1 lsl 17) ~variation (compile source)
 
 let signal_program =
   {|int sigcount = 0;
@@ -235,7 +240,7 @@ let divergent_signal_program =
   (* getpwnam parses per-variant unshared files of different lengths,
      so Immediate delivery can land at different logical points and
      raise the paper's false detection — which must be raised (or not)
-     identically in both stepping modes. *)
+     identically under both engines. *)
   {|int sigcount = 0;
     int on_signal(void) {
       sigcount = sigcount + 1;
@@ -287,7 +292,7 @@ let test_signal_at_rendezvous () =
 
 let test_signal_immediate_sweep () =
   (* Sweep the delivery point across the run: deliveries land inside
-     different quanta, including mid-quantum in the aligned program
+     different releases, including mid-block in the aligned program
      (no alarm) and at drift points in the divergent one (alarm). *)
   List.iter
     (fun after ->
@@ -312,8 +317,8 @@ let test_signal_divergent_sweep () =
 
 let test_signal_delivery_failure () =
   (* The handler traps during delivery: the Alarm_exn is raised inside
-     a variant's quantum, exercising the captured-exception join path
-     (lowest index first) in parallel mode. *)
+     a variant's release, exercising the captured-exception path
+     (lowest index first). *)
   List.iter
     (fun mode ->
       assert_equivalent ~what:"failing handler"
@@ -362,9 +367,9 @@ let test_relaxed_metrics () =
   (* The relaxed engine must surface its own observability: every
      relaxed position settled from deferred records counts into
      [monitor.relaxed_checks], and each flush boundary records its
-     batch into [monitor.deferred_batch_size] — in both modes, with
-     identical values (the fingerprint comparison covers equality; here
-     we pin the values are actually nonzero). *)
+     batch into [monitor.deferred_batch_size] — under both engines,
+     with identical values (the fingerprint comparison covers
+     equality; here we pin the values are actually nonzero). *)
   assert_equivalent ~what:"relaxed metrics"
     ~build:(build_minic relaxed_stretch_program)
     ~drive:(fun sys ->
@@ -409,10 +414,10 @@ let test_relaxed_divergence_alarms () =
       | outcome -> Alcotest.failf "expected Cond_mismatch, got %s" (outcome_str outcome))
 
 let test_rollback_resets_relaxed_state () =
-  (* Fuel exhaustion mid-stretch leaves deferred records queued (and,
-     in parallel mode, variants parked in their rings); restore must
-     drain all of it so the replay after rollback is bit-identical to a
-     fresh run in either mode. *)
+  (* Fuel exhaustion mid-stretch leaves deferred records queued and
+     arrivals parked; restore must drain all of it (and drop the decoded
+     pages) so the replay after rollback is bit-identical under either
+     engine. *)
   assert_equivalent ~what:"rollback mid-relaxed-stretch"
     ~build:(build_minic relaxed_stretch_program)
     ~drive:(fun sys ->
@@ -435,8 +440,8 @@ let test_rollback_resets_relaxed_state () =
 
 let test_httpd_serving () =
   assert_equivalent ~what:"httpd two-variant-uid"
-    ~build:(fun ~parallel ->
-      match Deploy.build ~parallel Deploy.Two_variant_uid with
+    ~build:(fun ~engine ->
+      match Deploy.build ~engine Deploy.Two_variant_uid with
       | Ok sys -> sys
       | Error e -> Alcotest.fail e)
     ~drive:(fun sys ->
@@ -449,18 +454,16 @@ let test_httpd_serving () =
         [ "/index.html"; "/"; "/missing.html" ];
       Buffer.contents b)
 
-let test_supervisor_recovery_under_parallel () =
-  (* The recovery supervisor rolls the monitor back mid-service; in
-     parallel mode this lands while the pinned engine is live, so the
-     restore path must also drain/reset the transport. The full
-     recovery matrix lives in test_supervisor.ml; this is the engine's
-     own smoke: attack absorbed, self-healed, identically in both
-     modes. *)
+let test_supervisor_recovery () =
+  (* The recovery supervisor rolls the monitor back mid-service, so the
+     block engine's compiled code must be retired with the restored
+     memory. The full recovery matrix lives in test_supervisor.ml; this
+     is the engines' own smoke: attack absorbed, self-healed,
+     identically under both. *)
   assert_equivalent ~what:"supervisor recovery"
-    ~build:(fun ~parallel ->
+    ~build:(fun ~engine ->
       match
-        Deploy.build ~parallel ~recover:Supervisor.default_config
-          Deploy.Two_variant_uid
+        Deploy.build ~engine ~recover:Supervisor.default_config Deploy.Two_variant_uid
       with
       | Ok sys -> sys
       | Error e -> Alcotest.fail e)
@@ -483,11 +486,11 @@ let test_supervisor_recovery_under_parallel () =
         (Printf.sprintf "recoveries=%d" (Supervisor.recoveries sup));
       Buffer.contents b)
 
-let test_openload_seq_par_identical () =
+let test_openload_identical () =
   (* The fleet tier profiles a replica (Measure drives the deployed
      system through the monitor) and extrapolates an open-loop SLO
-     report: the report must be bit-deterministic whether that replica
-     stepped its variants sequentially or on the pinned engine. *)
+     report: the report must be bit-identical whichever engine that
+     replica ran on. *)
   let spec =
     {
       Openload.replicas = 2;
@@ -497,191 +500,23 @@ let test_openload_seq_par_identical () =
       attacks_per_10k = 5;
     }
   in
-  let run ~parallel =
-    match Deploy.build ~parallel Deploy.Two_variant_uid with
+  let run engine =
+    match Deploy.build ~engine Deploy.Two_variant_uid with
     | Error e -> Alcotest.failf "deploy failed: %s" e
     | Ok sys -> (
+      Alcotest.(check bool) "engine" true (runs_on engine sys);
       match Measure.profile ~requests:4 ~seed:11 sys with
       | Error e -> Alcotest.failf "profile failed: %s" e
       | Ok samples ->
         let samples = Array.sub samples 1 (Array.length samples - 1) in
         Openload.run ~seed:11 ~variants:2 ~samples spec)
   in
-  let seq = run ~parallel:false in
-  let par = run ~parallel:true in
-  Alcotest.(check bool) "identical SLO reports" true (seq = par)
-
-(* ------------------------------------------------------------------ *)
-(* The transport: SPSC rings                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_spsc_basics () =
-  Alcotest.(check bool) "zero capacity rejected" true
-    (try
-       ignore (Spsc.create ~capacity:0 : int Spsc.t);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check int) "capacity of one" 1 (Spsc.capacity (Spsc.create ~capacity:1));
-  let r = Spsc.create ~capacity:5 in
-  Alcotest.(check int) "capacity rounded to a power of two" 8 (Spsc.capacity r);
-  Alcotest.(check (option int)) "empty pop" None (Spsc.try_pop r);
-  Alcotest.(check int) "empty length" 0 (Spsc.length r);
-  for i = 0 to 7 do
-    Alcotest.(check bool) "push while free" true (Spsc.try_push r i)
-  done;
-  Alcotest.(check bool) "push on full rejected" false (Spsc.try_push r 99);
-  Alcotest.(check int) "full length" 8 (Spsc.length r);
-  for i = 0 to 7 do
-    Alcotest.(check (option int)) "FIFO order" (Some i) (Spsc.try_pop r)
-  done;
-  Alcotest.(check (option int)) "drained" None (Spsc.try_pop r);
-  (* Interleaved traffic far past the capacity: positions are monotone
-     ints masked into the slot array, so wrap-around must be seamless. *)
-  for i = 0 to 999 do
-    Alcotest.(check bool) "wrap push" true (Spsc.try_push r i);
-    if i mod 3 = 0 then
-      Alcotest.(check bool) "wrap second push" true (Spsc.try_push r (-i));
-    Alcotest.(check bool) "wrap pop nonempty" true (Spsc.try_pop r <> None);
-    if i mod 3 = 0 then
-      Alcotest.(check bool) "wrap second pop" true (Spsc.try_pop r <> None)
-  done;
-  Alcotest.(check (option int)) "balanced" None (Spsc.try_pop r)
-
-let test_spsc_cross_domain () =
-  (* One producer domain, the test domain consuming: every element
-     arrives exactly once, in order, through a ring much smaller than
-     the stream. *)
-  let ring = Spsc.create ~capacity:8 in
-  let n = 50_000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          while not (Spsc.try_push ring i) do
-            Domain.cpu_relax ()
-          done
-        done)
-  in
-  let next = ref 0 in
-  while !next < n do
-    match Spsc.try_pop ring with
-    | Some v ->
-      if v <> !next then
-        Alcotest.failf "out of order: got %d, expected %d" v !next;
-      incr next
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join producer;
-  Alcotest.(check (option int)) "stream fully consumed" None (Spsc.try_pop ring)
-
-(* ------------------------------------------------------------------ *)
-(* The pool itself                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_dompool_basics () =
-  let pool = Dompool.create ~size:2 in
-  let p = Dompool.submit pool (fun () -> 21 * 2) in
-  Alcotest.(check int) "await" 42 (Dompool.await p);
-  let doubled = Dompool.map_array pool (fun x -> 2 * x) (Array.init 100 Fun.id) in
-  Alcotest.(check int) "map_array len" 100 (Array.length doubled);
-  Array.iteri (fun i v -> Alcotest.(check int) "map_array value" (2 * i) v) doubled;
-  Alcotest.(check int) "size" 2 (Dompool.size pool);
-  Alcotest.(check (array int)) "empty" [||] (Dompool.map_array pool (fun x -> x) [||]);
-  Dompool.shutdown pool;
-  Alcotest.(check bool) "submit after shutdown rejected" true
-    (try
-       ignore (Dompool.submit pool (fun () -> ()));
-       false
-     with Invalid_argument _ -> true)
-
-let test_dompool_exception_order () =
-  let pool = Dompool.create ~size:2 in
-  (* Every task fails; the lowest index must win, deterministically. *)
-  for _ = 1 to 20 do
-    match
-      Dompool.map_array pool
-        (fun i -> if i >= 3 then failwith (string_of_int i) else i)
-        (Array.init 8 Fun.id)
-    with
-    | _ -> Alcotest.fail "expected a failure"
-    | exception Failure s -> Alcotest.(check string) "lowest index raised" "3" s
-  done;
-  Dompool.shutdown pool
-
-let test_dompool_nested () =
-  (* A task that itself maps on the same pool: the help-while-awaiting
-     discipline must prevent deadlock even with a single worker. *)
-  let pool = Dompool.create ~size:1 in
-  let result =
-    Dompool.map_array pool
-      (fun x ->
-        Array.fold_left ( + ) 0 (Dompool.map_array pool (fun y -> x * y) [| 1; 2; 3 |]))
-      [| 10; 20; 30 |]
-  in
-  Alcotest.(check (array int)) "nested sums" [| 60; 120; 180 |] result;
-  Dompool.shutdown pool
-
-let test_dompool_dropped_await () =
-  (* Regression: awaiting a task that shutdown drained from the queue
-     used to block forever. Recipe: a single worker is wedged in task
-     [a]; [b] sits queued; shutdown (from another domain) drains the
-     queue and drops [b] inside its stop critical section, so once
-     submit is observed to reject, [b]'s drop has happened and await
-     must raise rather than hang. *)
-  let pool = Dompool.create ~size:1 in
-  let started = Atomic.make false in
-  let gate = Atomic.make false in
-  let a =
-    Dompool.submit pool (fun () ->
-        Atomic.set started true;
-        while not (Atomic.get gate) do
-          Domain.cpu_relax ()
-        done)
-  in
-  while not (Atomic.get started) do
-    Domain.cpu_relax ()
-  done;
-  let b = Dompool.submit pool (fun () -> 42) in
-  (* shutdown blocks joining the wedged worker, so run it elsewhere. *)
-  let closer = Domain.spawn (fun () -> Dompool.shutdown pool) in
-  let rec wait_stopped () =
-    match Dompool.submit pool (fun () -> ()) with
-    | (_ : unit Dompool.promise) ->
-      Domain.cpu_relax ();
-      wait_stopped ()
-    | exception Invalid_argument _ -> ()
-  in
-  wait_stopped ();
-  Alcotest.check_raises "await of dropped task"
-    (Invalid_argument "Dompool.await: task dropped by shutdown") (fun () ->
-      ignore (Dompool.await b : int));
-  (* Unblock [a] so shutdown can join its worker; the in-flight task
-     itself completes normally. *)
-  Atomic.set gate true;
-  Dompool.await a;
-  Domain.join closer
-
-let test_env_default () =
-  (* Not cached: the monitor's default follows the current env. *)
-  let before = Dompool.env_default () in
-  Alcotest.(check bool) "matches env" before
-    (match Sys.getenv_opt "NV_PARALLEL" with Some "1" -> true | _ -> false)
+  Alcotest.(check bool) "identical SLO reports" true
+    (run Memory.Reference = run Memory.Block)
 
 let () =
-  Alcotest.run "nv_parallel"
+  Alcotest.run "nv_differential"
     [
-      ( "spsc",
-        [
-          Alcotest.test_case "basics" `Quick test_spsc_basics;
-          Alcotest.test_case "cross-domain stream" `Quick test_spsc_cross_domain;
-        ] );
-      ( "dompool",
-        [
-          Alcotest.test_case "basics" `Quick test_dompool_basics;
-          Alcotest.test_case "exception order" `Quick test_dompool_exception_order;
-          Alcotest.test_case "nested" `Quick test_dompool_nested;
-          Alcotest.test_case "dropped by shutdown" `Quick test_dompool_dropped_await;
-          Alcotest.test_case "env default" `Quick test_env_default;
-        ] );
       ( "differential",
         [
           Alcotest.test_case "random programs" `Quick test_random_programs;
@@ -697,8 +532,7 @@ let () =
           Alcotest.test_case "rollback mid-relaxed-stretch" `Quick
             test_rollback_resets_relaxed_state;
           Alcotest.test_case "httpd serving" `Quick test_httpd_serving;
-          Alcotest.test_case "supervisor recovery" `Quick
-            test_supervisor_recovery_under_parallel;
-          Alcotest.test_case "openload seq==par" `Quick test_openload_seq_par_identical;
+          Alcotest.test_case "supervisor recovery" `Quick test_supervisor_recovery;
+          Alcotest.test_case "openload seq==par" `Quick test_openload_identical;
         ] );
     ]

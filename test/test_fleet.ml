@@ -7,6 +7,7 @@ module Prng = Nv_util.Prng
 module Deploy = Nv_httpd.Deploy
 module Measure = Nv_workload.Measure
 module Openload = Nv_workload.Openload
+module Memory = Nv_vm.Memory
 
 let models =
   [
@@ -239,8 +240,8 @@ let openload_spec =
     attacks_per_10k = 5;
   }
 
-let run_openload ~parallel =
-  match Deploy.build ~parallel Deploy.Two_variant_uid with
+let run_openload ?engine () =
+  match Deploy.build ?engine Deploy.Two_variant_uid with
   | Error e -> Alcotest.failf "deploy failed: %s" e
   | Ok sys -> (
     match Measure.profile ~requests:4 ~seed:9 sys with
@@ -249,18 +250,18 @@ let run_openload ~parallel =
       let samples = Array.sub samples 1 (Array.length samples - 1) in
       Openload.run ~seed:9 ~variants:2 ~samples openload_spec)
 
-let test_openload_seq_par_identical () =
-  (* The fleet SLO report must be bit-deterministic whether the profiled
-     replica ran its variants sequentially or on the domain pool. *)
-  let seq = run_openload ~parallel:false in
-  let par = run_openload ~parallel:true in
-  Alcotest.(check bool) "identical results" true (seq = par);
+let test_openload_engines_identical () =
+  (* The fleet SLO report must be bit-identical whichever engine the
+     profiled replica ran on. *)
+  let reference = run_openload ~engine:Memory.Reference () in
+  let block = run_openload ~engine:Memory.Block () in
+  Alcotest.(check bool) "identical results" true (reference = block);
   Alcotest.(check int)
-    "one lookup per arrival" seq.Openload.fleet.Fleet.arrivals
-    seq.Openload.lookups
+    "one lookup per arrival" block.Openload.fleet.Fleet.arrivals
+    block.Openload.lookups
 
 let test_openload_sublinear_lookups () =
-  let result = run_openload ~parallel:false in
+  let result = run_openload () in
   let n = float_of_int result.Openload.population in
   let bound = (2.0 *. (log n /. log 2.0)) +. 4.0 in
   Alcotest.(check bool)
@@ -297,7 +298,7 @@ let () =
           Alcotest.test_case "passwd world follows variation" `Quick
             test_passwd_world_follows_variation;
           Alcotest.test_case "seq and par runs identical" `Quick
-            test_openload_seq_par_identical;
+            test_openload_engines_identical;
           Alcotest.test_case "indexed lookups stay sublinear" `Quick
             test_openload_sublinear_lookups;
         ] );

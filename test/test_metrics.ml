@@ -103,7 +103,7 @@ let test_histogram_reservoir_unbiased () =
 
 let test_histogram_reservoir_deterministic () =
   (* Same registry names, same observations: the seeded per-histogram
-     PRNG must reproduce the same sample (NV_PARALLEL-independence of
+     PRNG must reproduce the same sample (the reproducibility of
      published SLO numbers depends on this). *)
   let build () =
     let reg = Metrics.create () in

@@ -8,9 +8,9 @@
    connection is dropped, and at least one subsequent benign request is
    served byte-identically to the pre-attack baseline, with
    [supervisor.recoveries] = 1. Every scenario is driven differentially
-   under sequential and parallel stepping (the test_parallel.ml
+   under the reference and block engines (the test_differential.ml
    pattern): transcripts and full fingerprints — including the
-   supervisor's metrics — must be bit-identical in both modes. *)
+   supervisor's metrics — must be bit-identical under both. *)
 
 module Alarm = Nv_core.Alarm
 module Monitor = Nv_core.Monitor
@@ -27,7 +27,7 @@ module Image = Nv_vm.Image
 module Metrics = Nv_util.Metrics
 
 (* ------------------------------------------------------------------ *)
-(* Harness (mirrors test_parallel.ml)                                  *)
+(* Harness (mirrors test_differential.ml)                              *)
 (* ------------------------------------------------------------------ *)
 
 let outcome_str = function
@@ -63,20 +63,25 @@ let variant_state sys =
 
 let fingerprint sys = variant_state sys ^ Metrics.to_text (Nsystem.metrics sys)
 
-let assert_equivalent ~what ~build ~drive =
-  let seq_sys = build ~parallel:false in
-  let par_sys = build ~parallel:true in
-  Alcotest.(check bool) (what ^ ": parallel flag") true
-    (Monitor.parallel (Nsystem.monitor par_sys)
-    && not (Monitor.parallel (Nsystem.monitor seq_sys)));
-  let seq_log = drive seq_sys in
-  let par_log = drive par_sys in
-  Alcotest.(check string) (what ^ ": transcript") seq_log par_log;
-  Alcotest.(check string) (what ^ ": final state") (fingerprint seq_sys)
-    (fingerprint par_sys)
+let runs_on engine sys =
+  let monitor = Nsystem.monitor sys in
+  List.for_all
+    (fun i -> Memory.engine (Monitor.loaded monitor i).Image.memory = engine)
+    (List.init (Monitor.variant_count monitor) Fun.id)
 
-let build_deploy ?recover ~parallel () =
-  match Deploy.build ~parallel ?recover Deploy.Two_variant_uid with
+let assert_equivalent ~what ~build ~drive =
+  let ref_sys = build ~engine:Memory.Reference in
+  let block_sys = build ~engine:Memory.Block in
+  Alcotest.(check bool) (what ^ ": engines") true
+    (runs_on Memory.Reference ref_sys && runs_on Memory.Block block_sys);
+  let ref_log = drive ref_sys in
+  let block_log = drive block_sys in
+  Alcotest.(check string) (what ^ ": transcript") ref_log block_log;
+  Alcotest.(check string) (what ^ ": final state") (fingerprint ref_sys)
+    (fingerprint block_sys)
+
+let build_deploy ?engine ?recover () =
+  match Deploy.build ?engine ?recover Deploy.Two_variant_uid with
   | Ok sys -> sys
   | Error e -> Alcotest.fail e
 
@@ -100,7 +105,7 @@ let test_snapshot_replay () =
   (* A checkpoint taken at an accept park can be restored repeatedly,
      and each replay of the same request is byte-identical: CPU,
      memory, kernel (fds, VFS, log file) all roll back. *)
-  let sys = build_deploy ~parallel:false () in
+  let sys = build_deploy () in
   let monitor = Nsystem.monitor sys in
   (match Nsystem.run sys with
   | Monitor.Blocked_on_accept -> ()
@@ -121,7 +126,7 @@ let test_snapshot_replay () =
 
 let test_snapshot_preserves_metrics () =
   (* Counters are monotonic: restore must not rewind the registry. *)
-  let sys = build_deploy ~parallel:false () in
+  let sys = build_deploy () in
   let monitor = Nsystem.monitor sys in
   ignore (Nsystem.run sys : Monitor.outcome);
   let snap = Monitor.snapshot monitor in
@@ -138,7 +143,7 @@ let test_snapshot_preserves_metrics () =
 
 let test_config_validation () =
   let monitor_of sys = Nsystem.monitor sys in
-  let sys = build_deploy ~parallel:false () in
+  let sys = build_deploy () in
   let check_invalid what config =
     Alcotest.(check bool) what true
       (try
@@ -151,11 +156,10 @@ let test_config_validation () =
   check_invalid "negative budget" { Supervisor.default_config with max_recoveries = -1 };
   check_invalid "zero window" { Supervisor.default_config with recovery_window = 0 }
 
-(* The pinned integration scenario, driven in both stepping modes. *)
+(* The pinned integration scenario, driven under both engines. *)
 let test_attack_recovery_integration () =
   assert_equivalent ~what:"null-overflow recovery"
-    ~build:(fun ~parallel ->
-      build_deploy ~recover:Supervisor.default_config ~parallel ())
+    ~build:(fun ~engine -> build_deploy ~engine ~recover:Supervisor.default_config ())
     ~drive:(fun sys ->
       let b = Buffer.create 4096 in
       let record tag s = Buffer.add_string b (Printf.sprintf "%s=%s\n" tag s) in
@@ -185,10 +189,10 @@ let test_attack_recovery_integration () =
 
 let test_budget_exhaustion () =
   assert_equivalent ~what:"budget exhaustion"
-    ~build:(fun ~parallel ->
-      build_deploy
+    ~build:(fun ~engine ->
+      build_deploy ~engine
         ~recover:{ Supervisor.default_config with max_recoveries = 2 }
-        ~parallel ())
+        ())
     ~drive:(fun sys ->
       let b = Buffer.create 4096 in
       let record tag s = Buffer.add_string b (Printf.sprintf "%s=%s\n" tag s) in
@@ -222,7 +226,7 @@ let test_window_purges_budget () =
   let sys =
     build_deploy
       ~recover:{ Supervisor.checkpoint_interval = 1; max_recoveries = 1; recovery_window = 2 }
-      ~parallel:false ()
+      ()
   in
   let sup = supervisor_of sys in
   let baseline = expect_200 "benign" (Nsystem.serve sys benign) in
@@ -248,7 +252,7 @@ let test_window_prunes_recovery_log () =
       build_deploy
         ~recover:
           { Supervisor.checkpoint_interval = 1; max_recoveries = 100; recovery_window = window }
-        ~parallel:false ()
+        ()
     in
     let sup = supervisor_of sys in
     for i = 1 to 4 do
@@ -274,7 +278,7 @@ let test_zero_budget_is_failstop () =
   let sys =
     build_deploy
       ~recover:{ Supervisor.default_config with max_recoveries = 0 }
-      ~parallel:false ()
+      ()
   in
   let sup = supervisor_of sys in
   ignore (expect_200 "benign" (Nsystem.serve sys benign));
@@ -289,10 +293,10 @@ let test_rollback_to_initial () =
      checkpoint: recovery restarts the server from scratch — startup
      code reruns, the log file is re-emptied — and serving resumes. *)
   assert_equivalent ~what:"rollback to initial"
-    ~build:(fun ~parallel ->
-      build_deploy
+    ~build:(fun ~engine ->
+      build_deploy ~engine
         ~recover:{ Supervisor.default_config with checkpoint_interval = 1_000_000 }
-        ~parallel ())
+        ())
     ~drive:(fun sys ->
       let b = Buffer.create 4096 in
       let sup = supervisor_of sys in
@@ -309,7 +313,7 @@ let test_rollback_to_initial () =
       Buffer.contents b)
 
 let test_out_of_fuel_passthrough () =
-  let sys = build_deploy ~recover:Supervisor.default_config ~parallel:false () in
+  let sys = build_deploy ~recover:Supervisor.default_config () in
   match Nsystem.run ~fuel:5 sys with
   | Monitor.Out_of_fuel -> ()
   | outcome -> Alcotest.failf "expected out-of-fuel, got %s" (outcome_str outcome)
@@ -326,7 +330,7 @@ let find_attack name =
 let test_run_attack_recovered () =
   let attack = find_attack "uid-null-overflow" in
   match
-    Campaign.run_attack ~parallel:false ~recover:Supervisor.default_config attack
+    Campaign.run_attack ~recover:Supervisor.default_config attack
       Deploy.Two_variant_uid
   with
   | Ok (Campaign.Recovered { recoveries; last_alarm }) ->
@@ -342,7 +346,7 @@ let test_run_attack_benign_not_recovered () =
      alarm, no rollback, no RECOVERED upgrade. *)
   let attack = find_attack "baseline-request" in
   match
-    Campaign.run_attack ~parallel:false ~recover:Supervisor.default_config attack
+    Campaign.run_attack ~recover:Supervisor.default_config attack
       Deploy.Two_variant_uid
   with
   | Ok Campaign.No_effect -> ()
@@ -372,7 +376,7 @@ let test_faultgen_describe () =
     ]
 
 let test_faultgen_inject_validation () =
-  let sys = build_deploy ~parallel:false () in
+  let sys = build_deploy () in
   ignore (Nsystem.run sys : Monitor.outcome);
   let check_invalid what fault =
     Alcotest.(check bool) what true
@@ -397,7 +401,7 @@ let test_faultgen_inject_validation () =
 let test_syscall_arg_fault_detected () =
   (* Without a supervisor a corrupted pending-syscall argument is an
      Arg divergence at the next rendezvous: fail-stop. *)
-  let sys = build_deploy ~parallel:false () in
+  let sys = build_deploy () in
   (match Nsystem.run sys with
   | Monitor.Blocked_on_accept -> ()
   | outcome -> Alcotest.failf "expected park, got %s" (outcome_str outcome));
@@ -411,7 +415,7 @@ let test_syscall_arg_fault_recovered () =
      the accept rendezvous itself, before the pending connection is
      accepted, so the rollback restores the register, keeps the
      connection queued, and the request is then served normally. *)
-  let sys = build_deploy ~recover:Supervisor.default_config ~parallel:false () in
+  let sys = build_deploy ~recover:Supervisor.default_config () in
   let sup = supervisor_of sys in
   let baseline = expect_200 "benign" (Nsystem.serve sys benign) in
   ignore (Nsystem.run sys : Monitor.outcome);
@@ -426,25 +430,23 @@ let report_str r =
   Format.asprintf "%a" Faultgen.pp_report r
 
 let test_faultgen_campaign_deterministic () =
-  (* The default PRNG campaign is reproducible, identical under both
-     stepping modes, and its counts are consistent. *)
-  let run parallel =
+  (* The default PRNG campaign is reproducible and its counts are
+     consistent. *)
+  let run () =
     match
-      Faultgen.run_campaign ~seed:7 ~recover:Supervisor.default_config ~parallel
+      Faultgen.run_campaign ~seed:7 ~recover:Supervisor.default_config
         Deploy.Two_variant_uid
     with
     | Ok report -> report
     | Error e -> Alcotest.fail e
   in
-  let seq = run false in
-  let par = run true in
-  Alcotest.(check string) "seq == par" (report_str seq) (report_str par);
-  Alcotest.(check string) "same seed reproduces" (report_str seq) (report_str (run false));
-  Alcotest.(check bool) "faults were injected" true (seq.Faultgen.injected >= 1);
-  Alcotest.(check int) "counts add up" seq.Faultgen.injected
-    (seq.Faultgen.recovered + seq.Faultgen.failstop + seq.Faultgen.clean
-   + seq.Faultgen.corrupted + seq.Faultgen.crashed);
-  Alcotest.(check int) "nothing crashed" 0 seq.Faultgen.crashed
+  let first = run () in
+  Alcotest.(check string) "same seed reproduces" (report_str first) (report_str (run ()));
+  Alcotest.(check bool) "faults were injected" true (first.Faultgen.injected >= 1);
+  Alcotest.(check int) "counts add up" first.Faultgen.injected
+    (first.Faultgen.recovered + first.Faultgen.failstop + first.Faultgen.clean
+   + first.Faultgen.corrupted + first.Faultgen.crashed);
+  Alcotest.(check int) "nothing crashed" 0 first.Faultgen.crashed
 
 let test_faultgen_explicit_faults () =
   (* A hand-picked always-diverging fault list under recovery: every
@@ -456,7 +458,7 @@ let test_faultgen_explicit_faults () =
           Faultgen.Corrupt_syscall_arg { variant = 0; bit = 2 };
           Faultgen.Corrupt_syscall_arg { variant = 1; bit = 5 };
         ]
-      ~recover:Supervisor.default_config ~parallel:false Deploy.Two_variant_uid
+      ~recover:Supervisor.default_config Deploy.Two_variant_uid
   with
   | Error e -> Alcotest.fail e
   | Ok report ->
@@ -469,7 +471,7 @@ let test_faultgen_without_supervisor_failstops () =
   match
     Faultgen.run_campaign
       ~faults:[ Faultgen.Corrupt_syscall_arg { variant = 0; bit = 2 } ]
-      ~parallel:false Deploy.Two_variant_uid
+      Deploy.Two_variant_uid
   with
   | Error e -> Alcotest.fail e
   | Ok report ->

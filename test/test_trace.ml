@@ -1,6 +1,6 @@
 (* Tests for the flight recorder (Nv_util.Trace): ring semantics, the
-   zero-cost disabled path, seq-vs-par stream identity, and the alarm
-   forensics bundle attached to campaign verdicts. *)
+   zero-cost disabled path, stream identity across execution engines,
+   and the alarm forensics bundle attached to campaign verdicts. *)
 
 module Trace = Nv_util.Trace
 module Json = Nv_util.Metrics.Json
@@ -9,6 +9,7 @@ module Monitor = Nv_core.Monitor
 module Nsystem = Nv_core.Nsystem
 module Variation = Nv_core.Variation
 module Syscall = Nv_os.Syscall
+module Memory = Nv_vm.Memory
 module Campaign = Nv_attacks.Campaign
 module Deploy = Nv_httpd.Deploy
 
@@ -105,7 +106,7 @@ let test_chrome_export_shape () =
   | _ -> Alcotest.fail "no traceEvents list"
 
 (* ------------------------------------------------------------------ *)
-(* Seq == par stream identity                                          *)
+(* Stream identity across engines                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* A seed-parameterized guest exercising every stream source: relaxed
@@ -154,10 +155,8 @@ let stream_fingerprint session =
       (Trace.ring_name ring, Trace.dropped ring, events))
     (Trace.rings session)
 
-let run_traced ~parallel images =
-  let sys =
-    Nsystem.create ~parallel ~variation:Variation.uid_diversity images
-  in
+let run_traced ~engine images =
+  let sys = Nsystem.create ~engine ~variation:Variation.uid_diversity images in
   let monitor = Nsystem.monitor sys in
   Trace.set_enabled (Monitor.trace_session monitor) true;
   let outcome =
@@ -169,24 +168,25 @@ let run_traced ~parallel images =
   in
   (outcome, stream_fingerprint (Monitor.trace_session monitor))
 
-let test_seq_par_identical_streams () =
+(* Timestamps are retired-instruction counts, so the reference decoder
+   and the block compiler must record the identical stream. *)
+let test_engines_identical_streams () =
   for seed = 1 to 10 do
-    let images = transform seed in
-    let seq_outcome, seq_streams = run_traced ~parallel:false images in
-    let par_outcome, par_streams = run_traced ~parallel:true (transform seed) in
+    let ref_outcome, ref_streams = run_traced ~engine:Memory.Reference (transform seed) in
+    let block_outcome, block_streams = run_traced ~engine:Memory.Block (transform seed) in
     Alcotest.(check string)
       (Printf.sprintf "seed %d outcome" seed)
-      seq_outcome par_outcome;
+      ref_outcome block_outcome;
     List.iter2
-      (fun (name, sdrop, sevs) (name', pdrop, pevs) ->
+      (fun (name, rdrop, revs) (name', bdrop, bevs) ->
         Alcotest.(check string) (Printf.sprintf "seed %d ring name" seed) name name';
         Alcotest.(check int)
           (Printf.sprintf "seed %d ring %s dropped" seed name)
-          sdrop pdrop;
+          rdrop bdrop;
         Alcotest.(check (list string))
           (Printf.sprintf "seed %d ring %s events" seed name)
-          sevs pevs)
-      seq_streams par_streams
+          revs bevs)
+      ref_streams block_streams
   done
 
 (* ------------------------------------------------------------------ *)
@@ -347,7 +347,7 @@ let () =
         [ Alcotest.test_case "chrome export shape" `Quick test_chrome_export_shape ] );
       ( "determinism",
         [
-          Alcotest.test_case "seq == par streams" `Quick test_seq_par_identical_streams;
+          Alcotest.test_case "seq == par streams" `Quick test_engines_identical_streams;
         ] );
       ( "forensics",
         [

@@ -1,4 +1,4 @@
-(* Unit and property tests for nv_util: Prng, Stats, Tablefmt. *)
+(* Unit and property tests for nv_util: Prng, Stats, Tablefmt, Par. *)
 
 open Nv_util
 
@@ -228,6 +228,37 @@ let test_table_equal_line_widths () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ------------------------------------------------------------------ *)
+(* Par                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_par_order () =
+  List.iter
+    (fun n ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "%d items in order" n)
+        (Array.init n (fun i -> i * i))
+        (Par.map_array (fun i -> i * i) (Array.init n Fun.id)))
+    [ 0; 1; 100 ]
+
+let test_par_lowest_exception () =
+  (* Items 3, 5 and 7 raise: every item still runs, whichever domain
+     reaches a failure first, and the lowest failed index is raised. *)
+  for _ = 1 to 20 do
+    let ran = Array.init 8 (fun _ -> Atomic.make false) in
+    match
+      Par.map_array
+        (fun i ->
+          Atomic.set ran.(i) true;
+          if i >= 3 && i mod 2 = 1 then failwith (string_of_int i) else i)
+        (Array.init 8 Fun.id)
+    with
+    | _ -> Alcotest.fail "expected a failure"
+    | exception Failure s ->
+      Alcotest.(check string) "lowest index raised" "3" s;
+      Alcotest.(check bool) "every item ran" true (Array.for_all Atomic.get ran)
+  done
+
 let () =
   Alcotest.run "nv_util"
     [
@@ -268,5 +299,11 @@ let () =
           Alcotest.test_case "alignment" `Quick test_table_alignment;
           Alcotest.test_case "align mismatch" `Quick test_table_align_mismatch;
           Alcotest.test_case "equal line widths" `Quick test_table_equal_line_widths;
+        ] );
+      ( "par",
+        [
+          Alcotest.test_case "order for 0, 1 and 100 items" `Quick test_par_order;
+          Alcotest.test_case "all run, lowest exception wins" `Quick
+            test_par_lowest_exception;
         ] );
     ]
