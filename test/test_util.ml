@@ -302,7 +302,7 @@ let () =
         ] );
       ( "par",
         [
-          Alcotest.test_case "order for 0, 1 and 100 items" `Quick test_par_order;
+          Alcotest.test_case "order for empty, single and many items" `Quick test_par_order;
           Alcotest.test_case "all run, lowest exception wins" `Quick
             test_par_lowest_exception;
         ] );
