@@ -42,7 +42,7 @@ let trace_arg =
     & info [ "trace" ]
         ~doc:
           "Enable the flight recorder and print the coordinator ring (every \
-           syscall rendezvous, deferred flush and alarm) when the run ends.")
+           syscall rendezvous, dispatch note and alarm) when the run ends.")
 
 let trace_out_arg =
   Arg.(

@@ -22,29 +22,10 @@ type pending_signal = {
   delivered : bool array;
 }
 
-(* A relaxed syscall, executed locally by a variant between rendezvous
-   points and posted to the coordinator for deferred cross-checking.
-   [rc_retired] is the variant's retired-instruction count at the call
-   (the latency stream is reconstructed from these, exactly as an
-   eager rendezvous would have observed it); [rc_c0]/[rc_c1] are the
-   canonicalized (reexpression-decoded) argument images the coordinator
-   compares; [rc_raw] carries the five raw argument registers only
-   when a tracer is installed (the trace events must be identical to
-   the eager engine's). *)
-type relaxed_record = {
-  rc_number : int;
-  rc_retired : int;
-  rc_a0 : int;
-  rc_c0 : int;
-  rc_c1 : int;
-  rc_raw : int array;
-}
-
 (* Why a variant stopped running and handed control back to the
-   coordinator. [A_syscall] (parked at a sensitive — or, with a
-   rendezvous-synchronized signal pending, any — syscall trap) is the
-   only arrival that persists across [run] calls: the call has not been
-   dispatched yet, so the variant must not be re-released over it. *)
+   coordinator. [A_syscall] (parked at a syscall trap) is the only
+   arrival that persists across [run] calls: the call has not been
+   dispatched yet, so the variant must not be resumed past it. *)
 type arrival =
   | A_syscall
   | A_fault of Cpu.fault
@@ -52,15 +33,6 @@ type arrival =
   | A_fuel
   | A_raised of exn * Printexc.raw_backtrace
 
-(* Release discipline (see docs/architecture.md, "Relaxed monitoring"):
-   while released, a variant touches only its own [Image.loaded] (CPU,
-   memory, decoded pages), its [delivered.(i)] slot, its trace ring and
-   its [deferred] queue; the kernel, the metrics registry, [t.signal],
-   the tracer, the metric-handle caches and [canon_scratch] are only
-   touched by the coordinator, between rounds. A released variant
-   performs no [Metrics] mutation and never clears [t.signal]; the
-   coordinator counts deliveries by diffing the [delivered] flags after
-   the round and clears the signal itself. *)
 type t = {
   kernel : Kernel.t;
   variation : Variation.t;
@@ -80,15 +52,9 @@ type t = {
   input_bytes_replicated_c : Metrics.counter;
   output_writes_checked_c : Metrics.counter;
   signals_delivered_c : Metrics.counter;
-  relaxed_checks_c : Metrics.counter;
-  deferred_batch_h : Metrics.histogram;
   mutable last_rendezvous_instr : int;
-  (* Relaxed-engine state: per-variant queues of posted-but-unchecked
-     relaxed calls, the parked arrival per variant, and the size of the
-     deferred batch flushed since the last flush boundary. *)
-  deferred : relaxed_record Queue.t array;
+  (* Why each variant last stopped; [None] once it may run again. *)
   arrivals : arrival option array;
-  mutable flush_batch : int;
   (* Hot-path caches: metric handles resolved per syscall number on
      first use (no hashtable lookup per rendezvous thereafter) and a
      scratch array reused by the canon_* argument checks. *)
@@ -96,7 +62,7 @@ type t = {
   latency_by_number : Metrics.histogram option array;
   canon_scratch : int array;
   (* Flight recorder: one ring per variant plus a coordinator ring for
-     rendezvous/flush/alarm events. Disabled by default; every
+     rendezvous/alarm events. Disabled by default; every
      recording site is gated on one atomic load. *)
   trace : Trace.t;
   trace_variants : Trace.ring array;
@@ -163,12 +129,8 @@ let create ?metrics ?engine ?(segment_size = Variation.default_segment_size)
     input_bytes_replicated_c = Metrics.counter scope "input_bytes_replicated";
     output_writes_checked_c = Metrics.counter scope "output_writes_checked";
     signals_delivered_c = Metrics.counter scope "signals_delivered";
-    relaxed_checks_c = Metrics.counter scope "relaxed_checks";
-    deferred_batch_h = Metrics.histogram scope "deferred_batch_size";
     last_rendezvous_instr = 0;
-    deferred = Array.init n (fun _ -> Queue.create ());
     arrivals = Array.make n None;
-    flush_batch = 0;
     calls_by_number = Array.make syscall_slots None;
     latency_by_number = Array.make syscall_slots None;
     canon_scratch = Array.make n 0;
@@ -242,7 +204,7 @@ let stats t =
     st_input_bytes_replicated = Metrics.counter_value t.input_bytes_replicated_c;
     st_output_writes_checked = Metrics.counter_value t.output_writes_checked_c;
     st_signals_delivered = Metrics.counter_value t.signals_delivered_c;
-    st_relaxed_checks = Metrics.counter_value t.relaxed_checks_c;
+    st_relaxed_checks = 0;
   }
 
 let set_tracer t f = t.tracer <- Some f
@@ -363,13 +325,37 @@ let canon_string t ~raws ~syscall ~index =
     (all_equal strings);
   strings.(0)
 
-let deliver t per_variant_results =
-  Array.iteri
-    (fun i result -> Sysabi.set_result t.variants.(i).Image.cpu result)
-    per_variant_results
+(* Variant [i]'s syscall slice in the flight recorder: entered with its
+   raw argument words before dispatch, exited with the result it gets.
+   Stamped with the variant's own retired count, like its quanta. *)
+let trace_enter t raws =
+  if Trace.enabled t.trace then
+    Array.iteri
+      (fun i (r : Sysabi.raw) ->
+        Trace.record t.trace_variants.(i)
+          ~ts:(Cpu.instructions_retired t.variants.(i).Image.cpu)
+          (Trace.Syscall_enter { number = r.Sysabi.number; args = r.Sysabi.args }))
+      raws
 
-let deliver_same t result =
-  Array.iter (fun v -> Sysabi.set_result v.Image.cpu result) t.variants
+let trace_exit t ~syscall i result =
+  if Trace.enabled t.trace then
+    Trace.record t.trace_variants.(i)
+      ~ts:(Cpu.instructions_retired t.variants.(i).Image.cpu)
+      (Trace.Syscall_exit { number = syscall; result })
+
+let set_result t ~syscall i result =
+  Sysabi.set_result t.variants.(i).Image.cpu result;
+  trace_exit t ~syscall i result
+
+let deliver t ~syscall per_variant_results =
+  for i = 0 to Array.length per_variant_results - 1 do
+    set_result t ~syscall i per_variant_results.(i)
+  done
+
+let deliver_same t ~syscall result =
+  for i = 0 to Array.length t.variants - 1 do
+    set_result t ~syscall i result
+  done
 
 (* Dispatch-time breadcrumbs go two ways: the legacy [set_tracer]
    callback (raw argument images included) and, when the flight
@@ -392,178 +378,6 @@ let trace t ~syscall ~raws text =
     text
 
 (* ------------------------------------------------------------------ *)
-(* Relaxed monitoring                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The cc_eq .. cc_geq comparison on canonical values; shared between
-   the eager dispatch path and the relaxed engine so both compute the
-   identical result. *)
-let cc_compute n a b =
-  if n = Syscall.sys_cc_eq then a = b
-  else if n = Syscall.sys_cc_neq then a <> b
-  else if n = Syscall.sys_cc_lt then Word.lt_unsigned a b
-  else if n = Syscall.sys_cc_leq then not (Word.lt_unsigned b a)
-  else if n = Syscall.sys_cc_gt then Word.lt_unsigned b a
-  else not (Word.lt_unsigned a b)
-
-(* Execute a relaxed syscall locally for variant [i] and return the
-   record the coordinator will cross-check later. [cred] is the
-   coordinator's snapshot of the kernel credentials (stable for the
-   whole release — every credential mutation is a Sensitive call,
-   which parks all variants first), and everything touched is
-   variant-[i]-owned per the release discipline. The result each
-   variant computes is exactly what the eager dispatch would have
-   delivered to it. *)
-let relaxed_call t i ~cred ~trace_args n =
-  let cpu = t.variants.(i).Image.cpu in
-  let raw = Sysabi.of_cpu cpu in
-  let spec = uid_spec t i in
-  let a0 = raw.Sysabi.args.(0) in
-  let result, c0, c1 =
-    if n = Syscall.sys_getuid then (spec.Reexpression.encode cred.Cred.ruid, 0, 0)
-    else if n = Syscall.sys_geteuid then (spec.Reexpression.encode cred.Cred.euid, 0, 0)
-    else if n = Syscall.sys_getgid then (spec.Reexpression.encode cred.Cred.rgid, 0, 0)
-    else if n = Syscall.sys_getegid then (spec.Reexpression.encode cred.Cred.egid, 0, 0)
-    else if n = Syscall.sys_uid_value then (a0, spec.Reexpression.decode a0, 0)
-    else if n = Syscall.sys_cond_chk then (a0, a0, 0)
-    else begin
-      (* cc_eq .. cc_geq: decode both UID arguments with this variant's
-         own inverse; the coordinator checks the canonical values agree
-         across variants at flush time. *)
-      let a = spec.Reexpression.decode a0 in
-      let b = spec.Reexpression.decode raw.Sysabi.args.(1) in
-      ((if cc_compute n a b then 1 else 0), a, b)
-    end
-  in
-  let rc_raw = if trace_args then Array.copy raw.Sysabi.args else [||] in
-  (if Trace.enabled t.trace then begin
-     let ring = t.trace_variants.(i) in
-     let ts = Cpu.instructions_retired cpu in
-     Trace.record ring ~ts (Trace.Syscall_enter { number = n; args = [| c0; c1 |] });
-     Trace.record ring ~ts (Trace.Syscall_exit { number = n; result })
-   end);
-  Sysabi.set_result cpu result;
-  {
-    rc_number = n;
-    rc_retired = Cpu.instructions_retired cpu;
-    rc_a0 = a0;
-    rc_c0 = c0;
-    rc_c1 = c1;
-    rc_raw;
-  }
-
-(* The note of a deferred position, stamped with the position's retired
-   total [now]; the tracer sees the raw arguments each variant
-   recorded. *)
-let relaxed_note t ~now ~syscall records text =
-  note t ~ts:now ~syscall (fun () -> Array.map (fun r -> r.rc_raw) records) text
-
-(* Cross-check one deferred position: the [i]-th record of every
-   variant's queue, popped together. Metric and trace order replays the
-   eager rendezvous exactly — rendezvous count, syscall-number check,
-   per-call counter, latency observation (from the retired counts the
-   variants recorded at the call, so the histogram is identical to what
-   lockstep execution would have measured), then the argument checks —
-   so a benign run is byte-for-byte indistinguishable from eager
-   monitoring and a divergent one raises the same alarm with the same
-   payload. Raises [Alarm_exn] on mismatch. *)
-let flush_position t (records : relaxed_record array) =
-  Metrics.incr t.rendezvous_c;
-  let numbers = Array.map (fun r -> r.rc_number) records in
-  Metrics.incr t.checks_performed;
-  if not (all_equal numbers) then begin
-    Metrics.incr t.checks_failed;
-    raise (Alarm_exn (Alarm.Syscall_mismatch { numbers }))
-  end;
-  let syscall = numbers.(0) in
-  let now = Array.fold_left (fun acc r -> acc + r.rc_retired) 0 records in
-  if Trace.enabled t.trace then
-    Trace.record t.trace_coord ~ts:now (Trace.Rendezvous { number = syscall; relaxed = true });
-  Metrics.incr (call_counter t syscall);
-  Metrics.observe
-    (latency_histogram t syscall)
-    (float_of_int (now - t.last_rendezvous_instr));
-  t.last_rendezvous_instr <- now;
-  let notes = notes_wanted t in
-  let scratch = t.canon_scratch in
-  (if
-     syscall = Syscall.sys_getuid
-     || syscall = Syscall.sys_geteuid
-     || syscall = Syscall.sys_getgid
-     || syscall = Syscall.sys_getegid
-   then begin
-     (* No arguments to check; replay the kernel read (and its metric)
-        the eager path would have performed as leader. *)
-     let k = t.kernel in
-     let canonical =
-       if syscall = Syscall.sys_getuid then Kernel.sys_getuid k
-       else if syscall = Syscall.sys_geteuid then Kernel.sys_geteuid k
-       else if syscall = Syscall.sys_getgid then Kernel.sys_getgid k
-       else Kernel.sys_getegid k
-     in
-     if notes then
-       relaxed_note t ~now ~syscall records
-         (Format.asprintf "%s -> canonical %a, reexpressed per variant"
-            (Syscall.name syscall) Word.pp canonical)
-   end
-   else if syscall = Syscall.sys_uid_value then begin
-     Array.iteri (fun i r -> scratch.(i) <- r.rc_c0) records;
-     check_scratch t ~syscall ~index:0;
-     if notes then
-       relaxed_note t ~now ~syscall records
-         (Format.asprintf "uid_value: canonical %a equivalent in all variants" Word.pp
-            scratch.(0))
-   end
-   else if syscall = Syscall.sys_cond_chk then begin
-     let values = Array.map (fun r -> r.rc_a0) records in
-     check t ~fail:(fun () -> Alarm.Cond_mismatch { values }) (all_equal values);
-     if notes then
-       relaxed_note t ~now ~syscall records
-         (Printf.sprintf "cond_chk(%d): paths agree" values.(0))
-   end
-   else begin
-     Array.iteri (fun i r -> scratch.(i) <- r.rc_c0) records;
-     check_scratch t ~syscall ~index:0;
-     let a = scratch.(0) in
-     Array.iteri (fun i r -> scratch.(i) <- r.rc_c1) records;
-     check_scratch t ~syscall ~index:1;
-     let b = scratch.(0) in
-     if notes then
-       relaxed_note t ~now ~syscall records
-         (Format.asprintf "%s(%a, %a) = %b on canonical values" (Syscall.name syscall)
-            Word.pp a Word.pp b (cc_compute syscall a b))
-   end);
-  Metrics.incr t.relaxed_checks_c;
-  t.flush_batch <- t.flush_batch + 1
-
-(* Flush every complete position: while all queues are non-empty, pop
-   one record per variant and cross-check them. Records are popped
-   before [flush_position] can raise, so an alarming position is
-   consumed — a re-run does not re-check it (the variants have long
-   since moved past it). *)
-let flush_prefix t =
-  let rec go () =
-    if Array.for_all (fun q -> not (Queue.is_empty q)) t.deferred then begin
-      let records = Array.map Queue.pop t.deferred in
-      flush_position t records;
-      go ()
-    end
-  in
-  match go () with () -> Ok () | exception Alarm_exn reason -> Error reason
-
-(* A flush boundary (a full rendezvous, or [run] returning): the batch
-   of relaxed checks settled since the previous boundary is observed
-   into the histogram. *)
-let flush_boundary t =
-  if t.flush_batch > 0 then begin
-    Metrics.observe t.deferred_batch_h (float_of_int t.flush_batch);
-    (if Trace.enabled t.trace then
-       Trace.record t.trace_coord ~ts:(instructions_retired t)
-         (Trace.Deferred_flush { batch = t.flush_batch }));
-    t.flush_batch <- 0
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Rendezvous dispatch                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -573,8 +387,7 @@ let flush_boundary t =
 let dispatch t ~now_instr (raws : Sysabi.raw array) =
   let syscall = raws.(0).Sysabi.number in
   if Trace.enabled t.trace then
-    Trace.record t.trace_coord ~ts:now_instr
-      (Trace.Rendezvous { number = syscall; relaxed = false });
+    Trace.record t.trace_coord ~ts:now_instr (Trace.Rendezvous { number = syscall });
   Metrics.incr (call_counter t syscall);
   (* Per-syscall rendezvous latency, measured in retired guest
      instructions (all variants) since the previous rendezvous. *)
@@ -627,7 +440,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
                 raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } })
             end)
           bufs;
-        deliver t (Array.map (fun c -> Word.mask (String.length c)) chunks)
+        deliver t ~syscall (Array.map (fun c -> Word.mask (String.length c)) chunks)
       | Some _ | None ->
         if notes_wanted t then
           trace t ~syscall ~raws
@@ -640,7 +453,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
               with Memory.Fault { addr; access } ->
                 raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } }))
           bufs;
-        deliver_same t (Word.of_signed count))
+        deliver_same t ~syscall (Word.of_signed count))
     | Kernel.Per_variant chunks ->
       if notes_wanted t then
         trace t ~syscall ~raws
@@ -654,7 +467,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
               raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } })
           end)
         bufs;
-      deliver t (Array.map (fun c -> Word.mask (String.length c)) chunks));
+      deliver t ~syscall (Array.map (fun c -> Word.mask (String.length c)) chunks));
     continue_
   | n when n = Syscall.sys_write ->
     let fd = Word.to_signed (canon_int t ~raws ~syscall ~index:0) in
@@ -677,10 +490,10 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
             raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } }))
         bufs
     in
-    if Kernel.fd_is_unshared k ~fd then begin
+    if unshared then begin
       if notes_wanted t then
         trace t ~syscall ~raws "write: unshared file, each variant writes its own copy";
-      deliver_same t (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Per_variant chunks)))
+      deliver_same t ~syscall (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Per_variant chunks)))
     end
     else begin
       (if not (all_equal chunks) then
@@ -693,7 +506,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       if notes_wanted t then
         trace t ~syscall ~raws
           (Printf.sprintf "write(%d): bytes checked equal, performed once" fd);
-      deliver_same t (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Shared_data chunks.(0))))
+      deliver_same t ~syscall (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Shared_data chunks.(0))))
     end;
     continue_
   | n when n = Syscall.sys_open ->
@@ -704,11 +517,11 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
         (if Kernel.is_unshared k path then
            Printf.sprintf "open(%S): unshared, variant i gets %s-i" path path
          else Printf.sprintf "open(%S): shared descriptor" path);
-    deliver_same t (Word.of_signed (Kernel.sys_open k ~path ~flags));
+    deliver_same t ~syscall (Word.of_signed (Kernel.sys_open k ~path ~flags));
     continue_
   | n when n = Syscall.sys_close ->
     let fd = Word.to_signed (canon_int t ~raws ~syscall ~index:0) in
-    deliver_same t (Word.of_signed (Kernel.sys_close k ~fd));
+    deliver_same t ~syscall (Word.of_signed (Kernel.sys_close k ~fd));
     continue_
   | n when n = Syscall.sys_accept ->
     (* The listening-fd argument is checked across variants like any
@@ -717,14 +530,20 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     let listen_fd = Word.to_signed (canon_int t ~raws ~syscall ~index:0) in
     let fd = Kernel.sys_accept k ~fd:listen_fd in
     if fd = Kernel.eagain then begin
-      Array.iter (fun v -> Sysabi.retry_syscall v.Image.cpu) t.variants;
+      (* Parked: the call is re-issued once a connection arrives, so
+         this slice closes here and the retry opens its own. *)
+      Array.iteri
+        (fun i v ->
+          Sysabi.retry_syscall v.Image.cpu;
+          trace_exit t ~syscall i fd)
+        t.variants;
       Some Blocked_on_accept
     end
     else begin
       if notes_wanted t then
         trace t ~syscall ~raws
           (Printf.sprintf "accept(%d) -> fd %d for all variants" listen_fd fd);
-      deliver_same t (Word.of_signed fd);
+      deliver_same t ~syscall (Word.of_signed fd);
       continue_
     end
   | n when n = Syscall.sys_getuid || n = Syscall.sys_geteuid || n = Syscall.sys_getgid
@@ -743,7 +562,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       trace t ~syscall ~raws
         (Format.asprintf "%s -> canonical %a, reexpressed per variant" (Syscall.name n)
            Word.pp canonical);
-    deliver t per_variant;
+    deliver t ~syscall per_variant;
     continue_
   | n when n = Syscall.sys_setuid || n = Syscall.sys_seteuid || n = Syscall.sys_setgid
            || n = Syscall.sys_setegid ->
@@ -758,7 +577,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       trace t ~syscall ~raws
         (Format.asprintf "%s: R_i^-1 applied, canonical %a agreed, performed once"
            (Syscall.name n) Word.pp canonical);
-    deliver_same t (Word.of_signed result);
+    deliver_same t ~syscall (Word.of_signed result);
     continue_
   | n when n = Syscall.sys_uid_value ->
     (* Table 2: compare across variants (post-inverse), return the
@@ -768,7 +587,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       trace t ~syscall ~raws
         (Format.asprintf "uid_value: canonical %a equivalent in all variants" Word.pp
            canonical);
-    deliver t (Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(0)) raws);
+    deliver t ~syscall (Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(0)) raws);
     continue_
   | n when n = Syscall.sys_cond_chk ->
     (* Table 2: condition values are plain booleans, identical in all
@@ -777,24 +596,31 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     check t ~fail:(fun () -> Alarm.Cond_mismatch { values }) (all_equal values);
     if notes_wanted t then
       trace t ~syscall ~raws (Printf.sprintf "cond_chk(%d): paths agree" values.(0));
-    deliver_same t values.(0);
+    deliver_same t ~syscall values.(0);
     continue_
   | n when Syscall.is_detection_call n ->
     (* cc_eq .. cc_geq: both UID arguments are decoded and checked,
        then the comparison is computed once on canonical values. *)
     let a = canon_uid t ~raws ~syscall ~index:0 in
     let b = canon_uid t ~raws ~syscall ~index:1 in
-    let result = cc_compute n a b in
+    let result =
+      if n = Syscall.sys_cc_eq then a = b
+      else if n = Syscall.sys_cc_neq then a <> b
+      else if n = Syscall.sys_cc_lt then Word.lt_unsigned a b
+      else if n = Syscall.sys_cc_leq then not (Word.lt_unsigned b a)
+      else if n = Syscall.sys_cc_gt then Word.lt_unsigned b a
+      else not (Word.lt_unsigned a b)
+    in
     if notes_wanted t then
       trace t ~syscall ~raws
         (Format.asprintf "%s(%a, %a) = %b on canonical values" (Syscall.name n) Word.pp a
            Word.pp b result);
-    deliver_same t (if result then 1 else 0);
+    deliver_same t ~syscall (if result then 1 else 0);
     continue_
   | _ ->
     if notes_wanted t then
       trace t ~syscall ~raws "unknown syscall: -1 to all variants";
-    deliver_same t (Word.of_signed (-1));
+    deliver_same t ~syscall (Word.of_signed (-1));
     continue_
 
 (* ------------------------------------------------------------------ *)
@@ -863,17 +689,17 @@ let deliver_signal t i ~handler =
   Array.iteri (fun r value -> Cpu.set_reg cpu r value) saved_regs;
   Cpu.set_pc cpu saved_pc
 
-let clear_if_fully_delivered t =
-  match t.signal with
-  | Some s when Array.for_all Fun.id s.delivered -> t.signal <- None
-  | Some _ | None -> ()
+(* Deliver the pending signal [s] to variant [i]; the signal is retired
+   once every variant has it. *)
+let deliver_pending t s i =
+  deliver_signal t i ~handler:s.handler;
+  s.delivered.(i) <- true;
+  Metrics.incr t.signals_delivered_c;
+  if Array.for_all Fun.id s.delivered then t.signal <- None
 
 (* Run variant [i] to its next trap, honouring a pending Immediate
    signal: once the variant crosses its delivery threshold, the handler
-   is injected and execution continues. Per the release discipline
-   above: reads [t.signal] (stable across a release — only the
-   coordinator writes it, between rounds), writes only variant-[i]
-   state and the variant's own [delivered.(i)] slot. *)
+   is injected and execution continues. *)
 let run_variant_to_trap t i ~fuel =
   let cpu = t.variants.(i).Image.cpu in
   let rec go fuel =
@@ -884,16 +710,14 @@ let run_variant_to_trap t i ~fuel =
         when not s.delivered.(i) -> (
         let due = s.baselines.(i) + after_instructions - Cpu.instructions_retired cpu in
         if due <= 0 then begin
-          deliver_signal t i ~handler:s.handler;
-          s.delivered.(i) <- true;
+          deliver_pending t s i;
           go fuel
         end
         else begin
           match Cpu.run cpu ~fuel:(min due fuel) with
           | Cpu.Out_of_fuel when due <= fuel ->
             (* Reached the delivery point without trapping. *)
-            deliver_signal t i ~handler:s.handler;
-            s.delivered.(i) <- true;
+            deliver_pending t s i;
             go (fuel - due)
           | outcome -> outcome
         end)
@@ -902,35 +726,20 @@ let run_variant_to_trap t i ~fuel =
   in
   go fuel
 
-(* Release variant [i] for a multi-call stretch: run to the next trap,
-   execute relaxed syscalls locally (adding a record to its deferred
-   queue and continuing), and stop with an [arrival] at the first
-   sensitive call, fault, halt, fuel exhaustion or exception. [fuel] is
-   the whole round budget. Everything touched is variant-[i]-owned. *)
-let run_variant_release t i ~fuel ~cred ~relaxed_ok ~trace_args =
+(* One quantum of variant [i]: run to its next trap, at most [fuel]
+   instructions, and report why it stopped. *)
+let run_quantum t i ~fuel =
   let cpu = t.variants.(i).Image.cpu in
-  let start = Cpu.instructions_retired cpu in
   if Trace.enabled t.trace then
-    Trace.record t.trace_variants.(i) ~ts:start Trace.Quantum_begin;
-  let rec go () =
-    let left = fuel - (Cpu.instructions_retired cpu - start) in
-    if left <= 0 then A_fuel
-    else begin
-      match run_variant_to_trap t i ~fuel:left with
-      | Cpu.Out_of_fuel -> A_fuel
-      | Cpu.Trapped Cpu.Halt_trap -> A_halt
-      | Cpu.Trapped (Cpu.Fault_trap fault) -> A_fault fault
-      | Cpu.Trapped Cpu.Syscall_trap ->
-        let n = (Sysabi.of_cpu cpu).Sysabi.number in
-        if relaxed_ok && Syscall.is_relaxed n then begin
-          Queue.add (relaxed_call t i ~cred ~trace_args n) t.deferred.(i);
-          go ()
-        end
-        else A_syscall
-      | exception e -> A_raised (e, Printexc.get_raw_backtrace ())
-    end
+    Trace.record t.trace_variants.(i) ~ts:(Cpu.instructions_retired cpu) Trace.Quantum_begin;
+  let arrival =
+    match run_variant_to_trap t i ~fuel with
+    | Cpu.Out_of_fuel -> A_fuel
+    | Cpu.Trapped Cpu.Halt_trap -> A_halt
+    | Cpu.Trapped (Cpu.Fault_trap fault) -> A_fault fault
+    | Cpu.Trapped Cpu.Syscall_trap -> A_syscall
+    | exception e -> A_raised (e, Printexc.get_raw_backtrace ())
   in
-  let arrival = go () in
   (if Trace.enabled t.trace then
      let retired = Cpu.instructions_retired cpu in
      Trace.record t.trace_variants.(i) ~ts:retired (Trace.Quantum_end { retired }));
@@ -1005,21 +814,38 @@ let alarmed t reason =
   Logs.info ~src:Nv_util.Logsrc.monitor (fun m -> m "alarm: %a" Alarm.pp reason);
   Alarm reason
 
-(* The run loop: rounds of released execution separated by coordinator
-   turns. Per round, every variant without a parked arrival is released
-   for a multi-call stretch, in index order; the coordinator then
-   cross-checks every complete deferred position, handles exceptional
-   arrivals in deterministic (lowest-index) order, and performs a full
-   rendezvous once every variant is parked live at a sensitive call.
+(* Every variant is parked at a syscall. A pending [At_rendezvous]
+   signal is delivered first: every variant is at an equivalent point
+   (trapped, pc already past the syscall instruction, trap context
+   preserved by the synchronous handler run), so handlers execute in
+   lockstep. Then the variants must agree on the call, and [dispatch]
+   performs it. Raises [Alarm_exn] on divergence and [Marshal_fault] on
+   a bad pointer argument. *)
+let rendezvous t =
+  Metrics.incr t.rendezvous_c;
+  (match t.signal with
+  | Some ({ mode = At_rendezvous; _ } as s) ->
+    Array.iteri (fun i _ -> if not s.delivered.(i) then deliver_pending t s i) t.variants
+  | Some _ | None -> ());
+  let raws = Array.map (fun v -> Sysabi.of_cpu v.Image.cpu) t.variants in
+  trace_enter t raws;
+  let numbers = Array.map (fun (r : Sysabi.raw) -> r.Sysabi.number) raws in
+  check t ~fail:(fun () -> Alarm.Syscall_mismatch { numbers }) (all_equal numbers);
+  dispatch t ~now_instr:(instructions_retired t) raws
+
+(* The run loop. Per round, every variant without a parked arrival runs
+   one quantum to its next trap, in index order; the coordinator then
+   handles exceptional arrivals in deterministic (lowest-index) order
+   and, once every variant is parked at a syscall, holds the
+   rendezvous.
 
    [A_syscall] arrivals persist across [run] calls — the parked call
-   has not been dispatched, so the variant must not be re-released over
+   has not been dispatched, so the variant must not be resumed past
    it; all other arrivals are transient. *)
 let run ?(fuel = 50_000_000) t =
   let deadline = instructions_retired t + fuel in
   let n = Array.length t.variants in
   let finish outcome =
-    flush_boundary t;
     if Trace.enabled t.trace then Trace.publish t.trace t.metrics;
     outcome
   in
@@ -1027,35 +853,9 @@ let run ?(fuel = 50_000_000) t =
     let remaining = deadline - instructions_retired t in
     if remaining <= 0 then finish Out_of_fuel
     else begin
-      (* Round parameters, fixed by the coordinator before any variant
-         moves and stable for the round. While an [At_rendezvous]
-         signal is pending, relaxation is off — every trap is an
-         arrival, so the delivery point is a full rendezvous. *)
-      let relaxed_ok =
-        match t.signal with Some { mode = At_rendezvous; _ } -> false | Some _ | None -> true
-      in
-      let trace_args = t.tracer <> None in
-      let cred = Kernel.cred t.kernel in
-      (* Snapshot the Immediate-delivery flags so deliveries performed
-         inside the round can be counted after it. *)
-      let delivered_before =
-        match t.signal with Some s -> Array.copy s.delivered | None -> [||]
-      in
       for i = 0 to n - 1 do
-        if t.arrivals.(i) = None then
-          t.arrivals.(i) <-
-            Some (run_variant_release t i ~fuel:remaining ~cred ~relaxed_ok ~trace_args)
+        if t.arrivals.(i) = None then t.arrivals.(i) <- Some (run_quantum t i ~fuel:remaining)
       done;
-      (* Coordinator-side signal bookkeeping for this round. *)
-      (match t.signal with
-      | Some s ->
-        Array.iteri
-          (fun i delivered ->
-            if delivered && not delivered_before.(i) then
-              Metrics.incr t.signals_delivered_c)
-          s.delivered;
-        clear_if_fully_delivered t
-      | None -> ());
       let view =
         Array.map (function Some a -> a | None -> assert false) t.arrivals
       in
@@ -1064,135 +864,47 @@ let run ?(fuel = 50_000_000) t =
         | Some A_syscall -> ()
         | Some _ | None -> t.arrivals.(i) <- None
       done;
-      (* Settle every complete deferred position first: checks the
-         variants already ran past happen before this round's failure
-         is reported, exactly as lockstep execution would have ordered
-         them. *)
-      match flush_prefix t with
-      | Error reason -> finish (alarmed t reason)
-      | Ok () -> (
-        (* Deterministic failure order: the lowest variant index wins. *)
-        let first_raised = ref None in
-        Array.iter
-          (fun a ->
-            match (a, !first_raised) with
-            | (A_raised (e, bt), None) -> first_raised := Some (e, bt)
-            | _ -> ())
-          view;
-        match !first_raised with
-        | Some (Alarm_exn reason, _) -> finish (alarmed t reason)
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None ->
-          if Array.exists (function A_fuel -> true | _ -> false) view then
-            finish Out_of_fuel
-          else begin
-            (* Faults and halts are alarm states. *)
-            let alarm = ref None in
-            Array.iteri
-              (fun i a ->
-                if !alarm = None then begin
-                  match a with
-                  | A_fault fault ->
-                    alarm := Some (Alarm.Variant_fault { variant = i; fault })
-                  | A_halt -> alarm := Some (Alarm.Variant_halted { variant = i })
-                  | A_syscall | A_fuel | A_raised _ -> ()
-                end)
-              view;
-            match !alarm with
-            | Some reason -> finish (alarmed t reason)
+      (* Deterministic failure order: the lowest variant index wins. *)
+      let first_raised = ref None in
+      Array.iter
+        (fun a ->
+          match (a, !first_raised) with
+          | (A_raised (e, bt), None) -> first_raised := Some (e, bt)
+          | _ -> ())
+        view;
+      match !first_raised with
+      | Some (Alarm_exn reason, _) -> finish (alarmed t reason)
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None ->
+        if Array.exists (function A_fuel -> true | _ -> false) view then
+          finish Out_of_fuel
+        else begin
+          (* Faults and halts are alarm states. *)
+          let alarm = ref None in
+          Array.iteri
+            (fun i a ->
+              if !alarm = None then begin
+                match a with
+                | A_fault fault ->
+                  alarm := Some (Alarm.Variant_fault { variant = i; fault })
+                | A_halt -> alarm := Some (Alarm.Variant_halted { variant = i })
+                | A_syscall | A_fuel | A_raised _ -> ()
+              end)
+            view;
+          match !alarm with
+          | Some reason -> finish (alarmed t reason)
+          | None -> (
+            match rendezvous t with
             | None ->
-              (* Every variant is parked at a syscall. *)
-              if Array.exists (fun q -> not (Queue.is_empty q)) t.deferred then begin
-                (* Hybrid position: some variants recorded their next
-                   call, the rest are parked live at theirs (the flush
-                   drained every all-recorded position, so at least one
-                   queue is empty). The per-variant syscall numbers come
-                   from the record fronts or the live trap state. *)
-                let numbers =
-                  Array.mapi
-                    (fun i q ->
-                      match Queue.peek_opt q with
-                      | Some rc -> rc.rc_number
-                      | None -> (Sysabi.of_cpu t.variants.(i).Image.cpu).Sysabi.number)
-                    t.deferred
-                in
-                if all_equal numbers then begin
-                  (* Necessarily a relaxed number (records only hold
-                     those): execute the live variants' calls on the
-                     coordinator, completing the position, and flush. *)
-                  Array.iteri
-                    (fun i q ->
-                      if Queue.is_empty q then begin
-                        Queue.add (relaxed_call t i ~cred ~trace_args numbers.(0)) q;
-                        t.arrivals.(i) <- None
-                      end)
-                    t.deferred;
-                  match flush_prefix t with
-                  | Error reason -> finish (alarmed t reason)
-                  | Ok () -> loop ()
-                end
-                else begin
-                  (* The variants disagree on what their next call even
-                     is: the same syscall-number check a full rendezvous
-                     performs, with the same metric effects. *)
-                  Metrics.incr t.rendezvous_c;
-                  Metrics.incr t.checks_performed;
-                  Metrics.incr t.checks_failed;
-                  finish (alarmed t (Alarm.Syscall_mismatch { numbers }))
-                end
-              end
-              else begin
-                (* Full rendezvous: every queue is flushed and every
-                   variant is parked live at its next sensitive call. *)
-                flush_boundary t;
-                Metrics.incr t.rendezvous_c;
-                (* Synchronized signal delivery: every variant is parked
-                   at an equivalent rendezvous point (trapped, pc
-                   already past the syscall instruction, trap context
-                   preserved by the synchronous handler run), so
-                   handlers execute in lockstep and the rendezvous then
-                   proceeds normally. *)
-                let delivery =
-                  match t.signal with
-                  | Some ({ mode = At_rendezvous; _ } as s) -> (
-                    try
-                      Array.iteri
-                        (fun i _ ->
-                          if not s.delivered.(i) then begin
-                            deliver_signal t i ~handler:s.handler;
-                            s.delivered.(i) <- true;
-                            Metrics.incr t.signals_delivered_c
-                          end)
-                        t.variants;
-                      clear_if_fully_delivered t;
-                      Ok ()
-                    with Alarm_exn reason -> Error reason)
-                  | Some _ | None -> Ok ()
-                in
-                match delivery with
-                | Error reason -> finish (alarmed t reason)
-                | Ok () ->
-                  let raws = Array.map (fun v -> Sysabi.of_cpu v.Image.cpu) t.variants in
-                  let numbers = Array.map (fun (r : Sysabi.raw) -> r.Sysabi.number) raws in
-                  Metrics.incr t.checks_performed;
-                  if not (all_equal numbers) then begin
-                    Metrics.incr t.checks_failed;
-                    finish (alarmed t (Alarm.Syscall_mismatch { numbers }))
-                  end
-                  else begin
-                    match dispatch t ~now_instr:(instructions_retired t) raws with
-                    | None ->
-                      Array.fill t.arrivals 0 n None;
-                      loop ()
-                    | Some outcome ->
-                      Array.fill t.arrivals 0 n None;
-                      finish outcome
-                    | exception Alarm_exn reason -> finish (alarmed t reason)
-                    | exception Marshal_fault { variant; fault } ->
-                      finish (alarmed t (Alarm.Variant_fault { variant; fault }))
-                  end
-              end
-          end)
+              Array.fill t.arrivals 0 n None;
+              loop ()
+            | Some outcome ->
+              Array.fill t.arrivals 0 n None;
+              finish outcome
+            | exception Alarm_exn reason -> finish (alarmed t reason)
+            | exception Marshal_fault { variant; fault } ->
+              finish (alarmed t (Alarm.Variant_fault { variant; fault })))
+        end
     end
   in
   loop ()
@@ -1218,16 +930,9 @@ let restore t snap =
   (* A pending signal references pre-rollback execution baselines; it
      cannot survive the rollback. *)
   t.signal <- None;
-  (* The relaxed-engine state references execution the rollback just
-     erased: drain the deferred queues, clear every parked arrival and
-     reset the batch accumulator so the restored monitor re-runs from
-     the checkpoint with no residue. (Supervisor checkpoints are taken
-     at entry and at [Blocked_on_accept] — both full-rendezvous states
-     where the queues are empty and no arrival is parked — so nothing
-     checkable is lost.) *)
-  Array.iter Queue.clear t.deferred;
+  (* A parked arrival references execution the rollback just erased:
+     every variant runs again from the checkpoint. *)
   Array.fill t.arrivals 0 (Array.length t.arrivals) None;
-  t.flush_batch <- 0;
   (* The retired-instruction totals just jumped backwards with the CPU
      restore; re-anchor the latency baseline so the next rendezvous
      does not observe a negative interval. *)

@@ -63,7 +63,7 @@ val create :
 val kernel : t -> Nv_os.Kernel.t
 
 val parallel : t -> bool
-(** Always [false]: {!run} releases every variant inline on the calling
+(** Always [false]: {!run} runs every variant inline on the calling
     domain. Kept only because the served-request benchmark harness
     ([perfbench/]) prints it; it goes once that harness stops reading
     it. *)
@@ -83,18 +83,13 @@ val run : ?fuel:int -> t -> outcome
     guest instructions across all variants, default 50 million) is
     exhausted. Resumable after [Blocked_on_accept].
 
-    Execution uses relaxed monitoring, run inline on the calling
-    domain: {e sensitive} syscalls
-    ({!Nv_os.Syscall.sensitivity}) are full rendezvous points — every
-    variant arrives, canonical arguments are compared, and the
-    coordinator performs the kernel call once as the leader,
-    replicating results — while {e relaxed} calls (register-only
-    credential reads and the Table 2 detection calls) are executed
-    locally by each variant, which posts a canonicalized record and
-    continues without waiting. The coordinator cross-checks the
-    accumulated records at the next rendezvous, raising the same alarm
-    classes with identical payloads, metric counters and trace events
-    as eager per-call rendezvous would have. *)
+    Variants run inline on the calling domain, in index order, each up
+    to its next trap. Every syscall, credential reads and the Table 2
+    detection calls included, is a rendezvous: every variant parks at
+    it, the monitor checks they made the same call with equivalent
+    canonical arguments, and performs the call once, replicating the
+    result. A divergence alarms at the call, before any variant runs
+    past it. *)
 
 val instructions_retired : t -> int
 (** Total instructions across all variants — the redundant-computation
@@ -110,11 +105,7 @@ val metrics : t -> Nv_util.Metrics.t
     [monitor.checks.failed], [monitor.alarms.<label>],
     [monitor.latency_instr.<name>] (histogram of retired instructions
     between rendezvous), [monitor.input_bytes_replicated],
-    [monitor.output_writes_checked], [monitor.signals_delivered],
-    [monitor.relaxed_checks] (positions cross-checked from deferred
-    records rather than an eager rendezvous) and
-    [monitor.deferred_batch_size] (histogram of how many deferred
-    checks settled per flush boundary). *)
+    [monitor.output_writes_checked] and [monitor.signals_delivered]. *)
 
 type stats = {
   st_rendezvous : int;
@@ -131,8 +122,9 @@ type stats = {
       (** shared writes whose bytes were compared across variants *)
   st_signals_delivered : int;
   st_relaxed_checks : int;
-      (** rendezvous positions settled from deferred relaxed-call
-          records instead of an eager stop-the-world rendezvous *)
+      (** Always [0]: every syscall is a rendezvous. Kept only because
+          the served-request benchmark harness ([perfbench/]) reads it;
+          it goes once that harness stops reading it. *)
 }
 
 val stats : t -> stats
@@ -148,8 +140,9 @@ val set_tracer : t -> (event -> unit) -> unit
 (** {1 Flight recorder}
 
     Every monitor owns a disabled {!Nv_util.Trace} session with one
-    ring per variant (tid [0..n-1]), a coordinator ring (tid [n]: full
-    and relaxed rendezvous, deferred-flush boundaries, dispatch
+    ring per variant (tid [0..n-1]: quanta, one syscall slice per call
+    with the variant's raw argument words and its result, signal
+    deliveries), a coordinator ring (tid [n]: rendezvous, dispatch
     breadcrumbs, alarms) and a kernel ring (tid [n+1]: every kernel
     dispatch). Timestamps are retired-instruction counts — the
     variant's own for its ring, the all-variant total for the

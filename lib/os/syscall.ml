@@ -31,44 +31,32 @@ type arg_kind = Int | Uid | Ptr_string | Ptr_out | Ptr_in | Len
 
 type ret_kind = Ret_int | Ret_uid
 
-type sensitivity = Sensitive | Relaxed
+type signature = { name : string; args : arg_kind list; ret : ret_kind }
 
-type signature = {
-  name : string;
-  args : arg_kind list;
-  ret : ret_kind;
-  sens : sensitivity;
-}
-
-(* Relaxed calls are exactly the register-only calls whose result is a
-   pure function of the credential state and the calling variant's own
-   reexpression spec: the kernel is read, never written, and no memory
-   is marshalled. Everything that performs I/O, mutates kernel state,
-   or can park the process must keep the full rendezvous. *)
 let table =
   [
-    (0, { name = "exit"; args = [ Int ]; ret = Ret_int; sens = Sensitive });
-    (1, { name = "read"; args = [ Int; Ptr_out; Len ]; ret = Ret_int; sens = Sensitive });
-    (2, { name = "write"; args = [ Int; Ptr_in; Len ]; ret = Ret_int; sens = Sensitive });
-    (3, { name = "open"; args = [ Ptr_string; Int ]; ret = Ret_int; sens = Sensitive });
-    (4, { name = "close"; args = [ Int ]; ret = Ret_int; sens = Sensitive });
-    (5, { name = "accept"; args = [ Int ]; ret = Ret_int; sens = Sensitive });
-    (6, { name = "getuid"; args = []; ret = Ret_uid; sens = Relaxed });
-    (7, { name = "geteuid"; args = []; ret = Ret_uid; sens = Relaxed });
-    (8, { name = "setuid"; args = [ Uid ]; ret = Ret_int; sens = Sensitive });
-    (9, { name = "seteuid"; args = [ Uid ]; ret = Ret_int; sens = Sensitive });
-    (10, { name = "getgid"; args = []; ret = Ret_uid; sens = Relaxed });
-    (11, { name = "getegid"; args = []; ret = Ret_uid; sens = Relaxed });
-    (12, { name = "setgid"; args = [ Uid ]; ret = Ret_int; sens = Sensitive });
-    (13, { name = "setegid"; args = [ Uid ]; ret = Ret_int; sens = Sensitive });
-    (20, { name = "uid_value"; args = [ Uid ]; ret = Ret_uid; sens = Relaxed });
-    (21, { name = "cond_chk"; args = [ Int ]; ret = Ret_int; sens = Relaxed });
-    (22, { name = "cc_eq"; args = [ Uid; Uid ]; ret = Ret_int; sens = Relaxed });
-    (23, { name = "cc_neq"; args = [ Uid; Uid ]; ret = Ret_int; sens = Relaxed });
-    (24, { name = "cc_lt"; args = [ Uid; Uid ]; ret = Ret_int; sens = Relaxed });
-    (25, { name = "cc_leq"; args = [ Uid; Uid ]; ret = Ret_int; sens = Relaxed });
-    (26, { name = "cc_gt"; args = [ Uid; Uid ]; ret = Ret_int; sens = Relaxed });
-    (27, { name = "cc_geq"; args = [ Uid; Uid ]; ret = Ret_int; sens = Relaxed });
+    (0, { name = "exit"; args = [ Int ]; ret = Ret_int });
+    (1, { name = "read"; args = [ Int; Ptr_out; Len ]; ret = Ret_int });
+    (2, { name = "write"; args = [ Int; Ptr_in; Len ]; ret = Ret_int });
+    (3, { name = "open"; args = [ Ptr_string; Int ]; ret = Ret_int });
+    (4, { name = "close"; args = [ Int ]; ret = Ret_int });
+    (5, { name = "accept"; args = [ Int ]; ret = Ret_int });
+    (6, { name = "getuid"; args = []; ret = Ret_uid });
+    (7, { name = "geteuid"; args = []; ret = Ret_uid });
+    (8, { name = "setuid"; args = [ Uid ]; ret = Ret_int });
+    (9, { name = "seteuid"; args = [ Uid ]; ret = Ret_int });
+    (10, { name = "getgid"; args = []; ret = Ret_uid });
+    (11, { name = "getegid"; args = []; ret = Ret_uid });
+    (12, { name = "setgid"; args = [ Uid ]; ret = Ret_int });
+    (13, { name = "setegid"; args = [ Uid ]; ret = Ret_int });
+    (20, { name = "uid_value"; args = [ Uid ]; ret = Ret_uid });
+    (21, { name = "cond_chk"; args = [ Int ]; ret = Ret_int });
+    (22, { name = "cc_eq"; args = [ Uid; Uid ]; ret = Ret_int });
+    (23, { name = "cc_neq"; args = [ Uid; Uid ]; ret = Ret_int });
+    (24, { name = "cc_lt"; args = [ Uid; Uid ]; ret = Ret_int });
+    (25, { name = "cc_leq"; args = [ Uid; Uid ]; ret = Ret_int });
+    (26, { name = "cc_gt"; args = [ Uid; Uid ]; ret = Ret_int });
+    (27, { name = "cc_geq"; args = [ Uid; Uid ]; ret = Ret_int });
   ]
 
 let all = table
@@ -77,10 +65,5 @@ let signature n = List.assoc_opt n table
 
 let name n =
   match signature n with Some { name; _ } -> name | None -> Printf.sprintf "sys#%d" n
-
-let sensitivity n =
-  match signature n with Some { sens; _ } -> sens | None -> Sensitive
-
-let is_relaxed n = sensitivity n = Relaxed
 
 let is_detection_call n = n >= 20 && n <= 27

@@ -54,24 +54,7 @@ type ret_kind =
   | Ret_int
   | Ret_uid  (** result is a UID: reexpressed per variant on return *)
 
-(** Rendezvous class of a call under the relaxed-monitoring engine
-    (dMVX/DMON-style): {!Sensitive} calls require a full rendezvous —
-    every variant arrives, canonical arguments are compared, and the
-    coordinator performs the kernel call once as the leader. {!Relaxed}
-    calls are register-only reads whose result each variant can compute
-    locally from the credential snapshot and its own reexpression spec;
-    the variant posts a canonicalized record and continues immediately,
-    and the coordinator cross-checks the accumulated batch at the next
-    sensitive rendezvous (raising the same alarms with identical
-    payloads). *)
-type sensitivity = Sensitive | Relaxed
-
-type signature = {
-  name : string;
-  args : arg_kind list;
-  ret : ret_kind;
-  sens : sensitivity;
-}
+type signature = { name : string; args : arg_kind list; ret : ret_kind }
 
 val all : (number * signature) list
 (** The complete syscall table, in number order — the source of truth
@@ -84,13 +67,6 @@ val signature : number -> signature option
 
 val name : number -> string
 (** Human-readable name; ["sys#N"] for unknown numbers. *)
-
-val sensitivity : number -> sensitivity
-(** Rendezvous class; unknown numbers are {!Sensitive} (they must hit
-    the full rendezvous to be flagged). *)
-
-val is_relaxed : number -> bool
-(** [sensitivity n = Relaxed]. *)
 
 val is_detection_call : number -> bool
 (** Numbers 20..27. *)

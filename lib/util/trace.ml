@@ -3,8 +3,7 @@ type kind =
   | Quantum_end of { retired : int }
   | Syscall_enter of { number : int; args : int array }
   | Syscall_exit of { number : int; result : int }
-  | Rendezvous of { number : int; relaxed : bool }
-  | Deferred_flush of { batch : int }
+  | Rendezvous of { number : int }
   | Signal of { handler : string; immediate : bool }
   | Kernel_call of { name : string; seq : int }
   | Checkpoint of { rendezvous : int }
@@ -117,11 +116,7 @@ let pp_event ?(syscall_name = default_syscall_name) ppf ev =
         (String.concat ", " (Array.to_list (Array.map string_of_int args)))
   | Syscall_exit { number; result } ->
       Format.fprintf ppf "[%s] exit = %d" (syscall_name number) result
-  | Rendezvous { number; relaxed } ->
-      Format.fprintf ppf "[%s] rendezvous (%s)" (syscall_name number)
-        (if relaxed then "relaxed" else "full")
-  | Deferred_flush { batch } ->
-      Format.fprintf ppf "[flush] %d deferred record(s) cross-checked" batch
+  | Rendezvous { number } -> Format.fprintf ppf "[%s] rendezvous" (syscall_name number)
   | Signal { handler; immediate } ->
       Format.fprintf ppf "[signal] %s delivered (%s)" handler
         (if immediate then "immediate" else "at rendezvous")
@@ -172,9 +167,7 @@ let chrome_record ~syscall_name ~pid ~tid ev =
       base "B" (syscall_name number) [ ("args", Obj [ ("args", args_list args) ]) ]
   | Syscall_exit { number; result } ->
       base "E" (syscall_name number) [ ("args", Obj [ ("result", num result) ]) ]
-  | Rendezvous { number; relaxed } ->
-      instant ("rendezvous:" ^ syscall_name number) [ ("relaxed", Bool relaxed) ]
-  | Deferred_flush { batch } -> instant "deferred_flush" [ ("batch", num batch) ]
+  | Rendezvous { number } -> instant ("rendezvous:" ^ syscall_name number) []
   | Signal { handler; immediate } ->
       instant ("signal:" ^ handler) [ ("immediate", Bool immediate) ]
   | Kernel_call { name; seq } -> instant ("kernel:" ^ name) [ ("seq", num seq) ]
@@ -249,14 +242,8 @@ let event_to_json ?(syscall_name = default_syscall_name) ev =
             ("syscall", Str (syscall_name number));
             ("result", num result);
           ] )
-    | Rendezvous { number; relaxed } ->
-        ( "rendezvous",
-          [
-            ("number", num number);
-            ("syscall", Str (syscall_name number));
-            ("relaxed", Bool relaxed);
-          ] )
-    | Deferred_flush { batch } -> ("deferred_flush", [ ("batch", num batch) ])
+    | Rendezvous { number } ->
+        ("rendezvous", [ ("number", num number); ("syscall", Str (syscall_name number)) ])
     | Signal { handler; immediate } ->
         ("signal", [ ("handler", Str handler); ("immediate", Bool immediate) ])
     | Kernel_call { name; seq } -> ("kernel_call", [ ("syscall", Str name); ("seq", num seq) ])

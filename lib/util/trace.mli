@@ -33,13 +33,10 @@ type kind =
   | Quantum_begin  (** a variant starts a run-to-trap quantum *)
   | Quantum_end of { retired : int }  (** quantum ended; retired so far *)
   | Syscall_enter of { number : int; args : int array }
-      (** syscall entered with canonicalized arguments *)
+      (** syscall entered with the raw argument words *)
   | Syscall_exit of { number : int; result : int }
-  | Rendezvous of { number : int; relaxed : bool }
-      (** cross-variant check: full rendezvous, or the deferred replay
-          of a relaxed record *)
-  | Deferred_flush of { batch : int }
-      (** a deferred-batch cross-check of [batch] relaxed records *)
+  | Rendezvous of { number : int }
+      (** every variant parked at a syscall and cross-checked *)
   | Signal of { handler : string; immediate : bool }  (** delivery *)
   | Kernel_call of { name : string; seq : int }
       (** kernel dispatch; [seq] is the kernel's syscall ordinal *)
@@ -132,4 +129,4 @@ val ring_events_json : ?syscall_name:(int -> string) -> ?last:int -> ring -> Met
 val event_to_json : ?syscall_name:(int -> string) -> event -> Metrics.Json.value
 
 val pp_event : ?syscall_name:(int -> string) -> Format.formatter -> event -> unit
-(** Human-readable one-line rendering ("[seteuid] rendezvous (full)"). *)
+(** Human-readable one-line rendering ("[seteuid] rendezvous"). *)

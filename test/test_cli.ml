@@ -187,10 +187,6 @@ let test_nvexec_metrics_dump () =
   Alcotest.(check int) "exit 0" 0 status;
   Alcotest.(check bool) "rendezvous counter" true (contains output "monitor.rendezvous");
   Alcotest.(check bool) "check counter" true (contains output "monitor.checks.performed");
-  Alcotest.(check bool) "relaxed-check counter" true
-    (contains output "monitor.relaxed_checks");
-  Alcotest.(check bool) "deferred-batch histogram" true
-    (contains output "monitor.deferred_batch_size");
   Alcotest.(check bool) "kernel counter" true (contains output "kernel.syscalls")
 
 let test_bench_results_json () =

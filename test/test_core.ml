@@ -515,6 +515,26 @@ let test_detect_cond_divergence () =
   in
   expect_alarm (function Alarm.Cond_mismatch _ -> true | _ -> false) outcome
 
+let test_detect_cond_divergence_stops_variants () =
+  (* A failed detection check alarms at the check itself: no variant
+     runs on past it into the loop that follows. Untransformed, the raw
+     UID compares equal to root only in the identity variant. *)
+  let source =
+    {|int main(void) {
+        uid_t me = getuid();
+        if (cond_chk(me == 0)) { return 1; }
+        int i = 0;
+        while (i < 1000000) { i++; }
+        return 0;
+      }|}
+  in
+  let sys = system ~variation:Variation.uid_diversity source in
+  expect_alarm (function Alarm.Cond_mismatch _ -> true | _ -> false) (Nsystem.run sys);
+  let retired = Monitor.instructions_retired (Nsystem.monitor sys) in
+  Alcotest.(check bool)
+    (Printf.sprintf "alarm before the loop (%d instructions retired)" retired)
+    true (retired < 100)
+
 let test_detect_syscall_divergence () =
   (* Without cond_chk, a UID-dependent branch reaches different
      syscalls; the monitor flags the syscall-number mismatch. *)
@@ -918,6 +938,8 @@ let () =
             test_detect_partial_overwrite_low_byte;
           Alcotest.test_case "high-bit overwrite escapes" `Quick test_high_bit_overwrite_escapes;
           Alcotest.test_case "cond divergence" `Quick test_detect_cond_divergence;
+          Alcotest.test_case "cond divergence stops the divergent path" `Quick
+            test_detect_cond_divergence_stops_variants;
           Alcotest.test_case "syscall divergence" `Quick test_detect_syscall_divergence;
           Alcotest.test_case "uid in log output" `Quick test_detect_output_divergence_uid_in_log;
           Alcotest.test_case "absolute address attack" `Quick test_detect_absolute_address_attack;

@@ -4,10 +4,10 @@
    reference decoder and one whose variants run on the block compiler
    are bit-identical — identical outcomes, alarms, final
    registers/memory, and metric values — for every program, including
-   ones that raise alarms mid-release and ones with pending signal
+   ones that raise alarms mid-run and ones with pending signal
    deliveries. test_perf.ml compares the engines on a bare CPU; this
-   suite compares them through the relaxed protocol, signals, rollback,
-   the case-study server and the supervisor. Both systems name their
+   suite compares them through the syscall rendezvous, signals,
+   rollback, the case-study server and the supervisor. Both systems name their
    engine explicitly, so the comparison holds whatever [NV_ENGINE]
    says. *)
 
@@ -343,13 +343,13 @@ let test_four_variants () =
     ~drive:(fun sys -> outcome_str (Nsystem.run sys))
 
 (* ------------------------------------------------------------------ *)
-(* Relaxed monitoring                                                  *)
+(* Credential reads and detection calls                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A long stretch of relaxed calls (getuid/geteuid/cc_eq never park the
-   variant) bracketed by sensitive rendezvous (seteuid, exit): the
-   deferred-record queues fill up and are cross-checked at the flush
-   boundary. *)
+(* A long stretch of credential reads and detection calls (getuid,
+   geteuid, cc_eq) between two calls that change state (seteuid, exit).
+   The tests below keep the names they had when such stretches were
+   cross-checked lazily. *)
 let relaxed_stretch_program =
   {|int main(void) {
       uid_t me = getuid();
@@ -364,35 +364,31 @@ let relaxed_stretch_program =
     }|}
 
 let test_relaxed_metrics () =
-  (* The relaxed engine must surface its own observability: every
-     relaxed position settled from deferred records counts into
-     [monitor.relaxed_checks], and each flush boundary records its
-     batch into [monitor.deferred_batch_size] — under both engines,
-     with identical values (the fingerprint comparison covers
-     equality; here we pin the values are actually nonzero). *)
+  (* Every call in the stretch is its own rendezvous, under both
+     engines, and the lazy cross-check's metrics are gone. *)
   assert_equivalent ~what:"relaxed metrics"
     ~build:(build_minic relaxed_stretch_program)
     ~drive:(fun sys ->
       let outcome = outcome_str (Nsystem.run sys) in
+      let metrics = Nsystem.metrics sys in
       let stats = Monitor.stats (Nsystem.monitor sys) in
-      (* getuid + 40*(geteuid, cc_eq) = 81 relaxed positions. *)
-      Alcotest.(check int) "relaxed_checks counts every relaxed call" 81
-        stats.Monitor.st_relaxed_checks;
-      Alcotest.(check (option int)) "monitor.relaxed_checks registered" (Some 81)
-        (Metrics.find_counter (Nsystem.metrics sys) "monitor.relaxed_checks");
-      Alcotest.(check bool) "deferred_batch_size histogram present" true
-        (match
-           Metrics.Json.member "histograms"
-             (Metrics.to_json_value (Nsystem.metrics sys))
-         with
+      let calls name = Metrics.find_counter metrics ("monitor.calls." ^ name) in
+      (* getuid + 40*(geteuid, cc_eq) = 81 rendezvous. *)
+      Alcotest.(check (option int)) "getuid rendezvous" (Some 1) (calls "getuid");
+      Alcotest.(check (option int)) "geteuid rendezvous" (Some 40) (calls "geteuid");
+      Alcotest.(check (option int)) "cc_eq rendezvous" (Some 40) (calls "cc_eq");
+      Alcotest.(check int) "st_relaxed_checks is always 0" 0 stats.Monitor.st_relaxed_checks;
+      Alcotest.(check (option int)) "monitor.relaxed_checks not registered" None
+        (Metrics.find_counter metrics "monitor.relaxed_checks");
+      Alcotest.(check bool) "deferred_batch_size histogram not registered" false
+        (match Metrics.Json.member "histograms" (Metrics.to_json_value metrics) with
         | Some h -> Metrics.Json.member "monitor.deferred_batch_size" h <> None
         | None -> false);
-      Printf.sprintf "%s relaxed=%d" outcome stats.Monitor.st_relaxed_checks)
+      Printf.sprintf "%s rendezvous=%d" outcome stats.Monitor.st_rendezvous)
 
 let test_relaxed_divergence_alarms () =
-  (* A relaxed call whose records disagree must still alarm with the
-     same class and payload as an eager rendezvous — the deferred
-     cross-check settles it later, never weaker. Comparing the raw
+  (* A detection call whose arguments disagree alarms with the same
+     class and payload under both engines. Comparing the raw
      (reexpressed, variant-diverse) UID against a constant makes the
      cond_chk booleans disagree: variant 0 is the identity
      reexpression (me = 0, root) while variant 1 sees me XOR'd. *)
@@ -414,17 +410,16 @@ let test_relaxed_divergence_alarms () =
       | outcome -> Alcotest.failf "expected Cond_mismatch, got %s" (outcome_str outcome))
 
 let test_rollback_resets_relaxed_state () =
-  (* Fuel exhaustion mid-stretch leaves deferred records queued and
-     arrivals parked; restore must drain all of it (and drop the decoded
-     pages) so the replay after rollback is bit-identical under either
-     engine. *)
+  (* Fuel exhaustion mid-stretch leaves arrivals parked; restore must
+     clear them (and drop the decoded pages) so the replay after
+     rollback is bit-identical under either engine. *)
   assert_equivalent ~what:"rollback mid-relaxed-stretch"
     ~build:(build_minic relaxed_stretch_program)
     ~drive:(fun sys ->
       let monitor = Nsystem.monitor sys in
       let snap = Monitor.snapshot monitor in
       let b = Buffer.create 128 in
-      (* Step in slices small enough to stop inside the relaxed loop. *)
+      (* Step in slices small enough to stop inside the loop. *)
       for _ = 1 to 3 do
         Buffer.add_string b (outcome_str (Nsystem.run ~fuel:97 sys));
         Buffer.add_char b ';'

@@ -79,7 +79,7 @@ let test_chrome_export_shape () =
   Trace.record v ~ts:5 (Trace.Syscall_enter { number = 9; args = [| 33 |] });
   Trace.record v ~ts:5 (Trace.Syscall_exit { number = 9; result = 0 });
   Trace.record v ~ts:9 (Trace.Quantum_end { retired = 9 });
-  Trace.record c ~ts:9 (Trace.Rendezvous { number = 9; relaxed = false });
+  Trace.record c ~ts:9 (Trace.Rendezvous { number = 9 });
   let json = Trace.to_chrome ~syscall_name:Syscall.name ~extra:[ ("marker", Json.Bool true) ] t in
   (* Round-trip through the parser: the export must be valid JSON. *)
   (match Json.of_string (Json.to_string json) with
@@ -109,9 +109,10 @@ let test_chrome_export_shape () =
 (* Stream identity across engines                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A seed-parameterized guest exercising every stream source: relaxed
-   getuid-family reads, detection calls from transformed comparisons,
-   full rendezvous (seteuid, exit), and deferred flush boundaries. *)
+(* A seed-parameterized guest exercising every stream source: getuid-family
+   reads, detection calls from transformed comparisons, and credential
+   changes (seteuid) and exit, each a rendezvous with a syscall slice per
+   variant. *)
 let program seed =
   Printf.sprintf
     {|uid_t worker = %d;
