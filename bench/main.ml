@@ -505,10 +505,11 @@ let report_fleet ?(path = "BENCH_results.json") () =
     | Ok samples ->
       let samples = Array.sub samples 1 (Array.length samples - 1) in
       let variants = Variation.count (Deploy.variation Deploy.Two_variant_uid) in
-      let entries =
+      let population =
         Nv_workload.Openload.population ~seed:fleet_seed ~users:fleet_users ()
       in
-      let _vfs, sizes =
+      let entries = Nv_workload.Openload.entries population in
+      let sizes =
         Nv_workload.Openload.passwd_world ~entries
           ~variation:(Deploy.variation Deploy.Two_variant_uid)
       in
@@ -519,7 +520,7 @@ let report_fleet ?(path = "BENCH_results.json") () =
         List.map
           (fun arrival ->
             let result =
-              Nv_workload.Openload.run ~seed:fleet_seed ~entries ~variants ~samples
+              Nv_workload.Openload.run ~seed:fleet_seed ~population ~variants ~samples
                 (fleet_spec arrival)
             in
             let r = result.Nv_workload.Openload.fleet in
@@ -646,8 +647,8 @@ let report_bench ?(path = "BENCH_results.json") () =
    running the guest: wall-clock guest-MIPS of the two execution
    tiers — the reference decoder and the basic-block compiler — plus a
    [Cpu.step] loop over the decode cache (the stepping interpreter the
-   block engine falls back to), for a pure interpreter microbench and
-   for the full 2-variant monitored server. *)
+   block engine falls back to), on a pure interpreter microbench. The
+   served rate of the monitored server is perfbench's [vm.guest_mips]. *)
 
 let hostperf_loop_iters = 150_000
 
@@ -706,55 +707,8 @@ let interp_hostperf ?(stepping = false) ~engine ~reps () =
   done;
   (!instructions, !best, !stats)
 
-(* [engine] pins every variant's tier; omitted, the segments keep the
-   default engine. *)
-let monitor_hostperf ?(trace = false) ?engine ~requests () =
-  match Deploy.build ?engine Deploy.Two_variant_uid with
-  | Error e -> failwith e
-  | Ok sys ->
-    let monitor = Nsystem.monitor sys in
-    if trace then Nv_util.Trace.set_enabled (Monitor.trace_session monitor) true;
-    let instr0 = Monitor.instructions_retired monitor in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to requests do
-      match Nsystem.serve sys (Nv_httpd.Http.get "/") with
-      | Nsystem.Served _ -> ()
-      | Nsystem.Stopped _ -> failwith "hostperf: monitored request failed"
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let instructions = Monitor.instructions_retired monitor - instr0 in
-    (instructions, mips instructions dt)
-
-(* Host cost of the flight recorder on the same monitored server:
-   plain baseline vs. disabled (the guarded call sites cost one atomic
-   load each) vs. enabled (events recorded into the rings). The three
-   configurations are measured interleaved so host-load drift between
-   phases cancels out of the ratios, and the disabled/baseline gate
-   ratio is the *best* pairwise ratio across reps: scheduler noise on
-   a loaded host easily fakes a several-percent slowdown in any single
-   pair, but a real regression in the guarded call sites shows up in
-   every pair, so only a unanimously-slow disabled path fails the
-   2% budget. *)
-let trace_hostperf ~reps ~requests =
-  let instructions = ref 0 in
-  let plain = ref 0. in
-  let off = ref 0. in
-  let on_ = ref 0. in
-  let best_off_ratio = ref 0. in
-  for _ = 1 to reps do
-    let instr, plain_m = monitor_hostperf ~requests () in
-    instructions := instr;
-    plain := Float.max !plain plain_m;
-    let _, off_m = monitor_hostperf ~trace:false ~requests () in
-    off := Float.max !off off_m;
-    best_off_ratio := Float.max !best_off_ratio (off_m /. plain_m);
-    let _, on_m = monitor_hostperf ~trace:true ~requests () in
-    on_ := Float.max !on_ on_m
-  done;
-  (!instructions, !plain, !off, !on_, !best_off_ratio)
-
 let report_hostperf ?(path = "BENCH_results.json") () =
-  section "HOSTPERF: host wall-clock guest-MIPS (interpreter and 2-variant monitor)";
+  section "HOSTPERF: host wall-clock guest-MIPS (interpreter microbench)";
   let interp_instr, interp_ref, _ =
     interp_hostperf ~engine:Nv_vm.Memory.Reference ~reps:3 ()
   in
@@ -772,31 +726,7 @@ let report_hostperf ?(path = "BENCH_results.json") () =
          "hostperf: engines disagree on retired instructions (%d reference, %d step, %d \
           block)"
          interp_instr step_instr block_instr);
-  let requests = 40 in
-  (* Best of 3 fresh systems each, like the interpreter rows. *)
-  let best_of reps f =
-    let instructions = ref 0 in
-    let best = ref 0. in
-    for _ = 1 to reps do
-      let instr, m = f () in
-      instructions := instr;
-      best := Float.max !best m
-    done;
-    (!instructions, !best)
-  in
-  let mon_instr, mon_ref =
-    best_of 3 (fun () -> monitor_hostperf ~engine:Nv_vm.Memory.Reference ~requests ())
-  in
-  let mon_block_instr, mon_block =
-    best_of 3 (fun () -> monitor_hostperf ~engine:Nv_vm.Memory.Block ~requests ())
-  in
-  if mon_block_instr <> mon_instr then
-    failwith
-      (Printf.sprintf
-         "hostperf: monitor engines disagree on retired instructions (%d vs %d)" mon_instr
-         mon_block_instr);
   let interp_speedup = interp_block /. interp_ref in
-  let mon_speedup = mon_block /. mon_ref in
   let block_vs_step = interp_block /. interp_step in
   Nv_util.Tablefmt.print
     ~header:
@@ -811,82 +741,39 @@ let report_hostperf ?(path = "BENCH_results.json") () =
           Printf.sprintf "%.2f" interp_ref; Printf.sprintf "%.2f" interp_step;
           Printf.sprintf "%.2f" interp_block; Printf.sprintf "%.2fx" interp_speedup;
         ];
-        [
-          Printf.sprintf "2-variant monitor (%d requests)" requests;
-          string_of_int mon_instr; Printf.sprintf "%.2f" mon_ref; "-";
-          Printf.sprintf "%.2f" mon_block; Printf.sprintf "%.2fx" mon_speedup;
-        ];
       ]
     ();
   Printf.printf
     "block engine vs. Cpu.step loop: %.2fx on the microbench (target > 1x); %d blocks \
      compiled, %d cache hits, %d invalidations\n"
     block_vs_step block_compiled block_hits block_invalidations;
-  let trace_instr, trace_plain, trace_off, trace_on, best_off_ratio =
-    trace_hostperf ~reps:5 ~requests:120
-  in
-  let disabled_frac = best_off_ratio -. 1.0 in
-  Nv_util.Tablefmt.print
-    ~header:
-      [
-        "flight recorder"; "guest instructions"; "baseline MIPS"; "disabled MIPS";
-        "enabled MIPS"; "ratio";
-      ]
-    ~rows:
-      [
-        [
-          "2-variant monitor (120 requests)"; string_of_int trace_instr;
-          Printf.sprintf "%.2f" trace_plain; Printf.sprintf "%.2f" trace_off;
-          Printf.sprintf "%.2f" trace_on;
-          Printf.sprintf "%.3fx" (trace_on /. trace_off);
-        ];
-      ]
-    ();
-  Printf.printf
-    "flight recorder disabled vs. plain monitor: %+.2f%% best pair (target: within 2%%)\n"
-    (100.0 *. disabled_frac);
-  let mode name instructions ref_mips block_mips speedup =
-    ( name,
-      Json.Obj
-        [
-          ("instructions", Json.Num (float_of_int instructions));
-          ("reference_mips", Json.Num ref_mips);
-          ("block_mips", Json.Num block_mips);
-          ("speedup", Json.Num speedup);
-        ] )
-  in
   update_json_obj path
     [
       ( "hostperf",
         Json.Obj
           [
-             mode "interpreter" interp_instr interp_ref interp_block interp_speedup;
-             mode "monitor_2variant" mon_instr mon_ref mon_block mon_speedup;
-             ( "block",
-               Json.Obj
-                 [
-                   ("instructions", Json.Num (float_of_int block_instr));
-                   ("mips", Json.Num interp_block);
-                   ("step_mips", Json.Num interp_step);
-                   ("reference_mips", Json.Num interp_ref);
-                   ("speedup_vs_step", Json.Num block_vs_step);
-                   ("speedup_vs_reference", Json.Num interp_speedup);
-                   ("monitor_mips", Json.Num mon_block);
-                   ("compiled_blocks", Json.Num (float_of_int block_compiled));
-                   ("block_hits", Json.Num (float_of_int block_hits));
-                   ("invalidations", Json.Num (float_of_int block_invalidations));
-                 ] );
-             ( "trace_overhead",
-               Json.Obj
-                 [
-                   ("instructions", Json.Num (float_of_int trace_instr));
-                   ("baseline_mips", Json.Num trace_plain);
-                   ("disabled_mips", Json.Num trace_off);
-                   ("enabled_mips", Json.Num trace_on);
-                   ("enabled_over_disabled", Json.Num (trace_on /. trace_off));
-                   ("disabled_vs_monitor_frac", Json.Num disabled_frac);
-                 ] );
-           ] );
+            ( "interpreter",
+              Json.Obj
+                [
+                  ("instructions", Json.Num (float_of_int interp_instr));
+                  ("reference_mips", Json.Num interp_ref);
+                  ("block_mips", Json.Num interp_block);
+                  ("speedup", Json.Num interp_speedup);
+                ] );
+            ( "block",
+              Json.Obj
+                [
+                  ("instructions", Json.Num (float_of_int block_instr));
+                  ("mips", Json.Num interp_block);
+                  ("step_mips", Json.Num interp_step);
+                  ("reference_mips", Json.Num interp_ref);
+                  ("speedup_vs_step", Json.Num block_vs_step);
+                  ("speedup_vs_reference", Json.Num interp_speedup);
+                  ("compiled_blocks", Json.Num (float_of_int block_compiled));
+                  ("block_hits", Json.Num (float_of_int block_hits));
+                  ("invalidations", Json.Num (float_of_int block_invalidations));
+                ] );
+          ] );
     ];
   Printf.printf "updated %s (hostperf)\n" path
 

@@ -164,7 +164,7 @@ let run config replicas rate arrival burst_mean amplitude duration users guest_u
         }
       in
       let registry = Nv_util.Metrics.create () in
-      let entries = Nv_workload.Openload.population ~seed ~users () in
+      let population = Nv_workload.Openload.population ~seed ~users () in
       let trace =
         Option.map
           (fun _ ->
@@ -174,7 +174,7 @@ let run config replicas rate arrival burst_mean amplitude duration users guest_u
           trace_out
       in
       let result =
-        Nv_workload.Openload.run ~seed ~metrics:registry ?trace ~entries ~variants
+        Nv_workload.Openload.run ~seed ~metrics:registry ?trace ~population ~variants
           ~samples spec
       in
       (match (trace_out, trace) with
@@ -184,8 +184,9 @@ let run config replicas rate arrival burst_mean amplitude duration users guest_u
         output_char oc '\n';
         close_out oc
       | _ -> ());
-      let _vfs, sizes =
-        Nv_workload.Openload.passwd_world ~entries
+      let sizes =
+        Nv_workload.Openload.passwd_world
+          ~entries:(Nv_workload.Openload.entries population)
           ~variation:(Nv_httpd.Deploy.variation config)
       in
       let r = result.Nv_workload.Openload.fleet in

@@ -11,7 +11,7 @@ module Trace = Nv_util.Trace
 
 type outcome = Exited of int | Alarm of Alarm.reason | Blocked_on_accept | Out_of_fuel
 
-type event = { ev_syscall : int; ev_raw_args : int array array; ev_note : string }
+type event = { ev_syscall : int; ev_note : string }
 
 type signal_mode = Immediate of { after_instructions : int } | At_rendezvous
 
@@ -358,24 +358,18 @@ let deliver_same t ~syscall result =
   done
 
 (* Dispatch-time breadcrumbs go two ways: the legacy [set_tracer]
-   callback (raw argument images included) and, when the flight
-   recorder is on, a [Note] in the coordinator ring. Both run while
-   every variant is parked, stamped with the retired total. Callers
-   format a note only when [notes_wanted] holds: with neither reader,
-   the rendezvous path builds no strings. *)
+   callback and, when the flight recorder is on, a [Note] in the
+   coordinator ring. Both run while every variant is parked, stamped
+   with the retired total. Callers format a note only when
+   [notes_wanted] holds: with neither reader, the rendezvous path
+   builds no strings. *)
 let notes_wanted t = Trace.enabled t.trace || Option.is_some t.tracer
 
-let note t ~ts ~syscall ev_raw_args text =
+let trace t ~syscall text =
   (if Trace.enabled t.trace then
-     Trace.note t.trace_coord ~ts (Printf.sprintf "[%s] %s" (Syscall.name syscall) text));
-  match t.tracer with
-  | None -> ()
-  | Some f -> f { ev_syscall = syscall; ev_raw_args = ev_raw_args (); ev_note = text }
-
-let trace t ~syscall ~raws text =
-  note t ~ts:(instructions_retired t) ~syscall
-    (fun () -> Array.map (fun (r : Sysabi.raw) -> Array.copy r.Sysabi.args) raws)
-    text
+     Trace.note t.trace_coord ~ts:(instructions_retired t)
+       (Printf.sprintf "[%s] %s" (Syscall.name syscall) text));
+  match t.tracer with None -> () | Some f -> f { ev_syscall = syscall; ev_note = text }
 
 (* ------------------------------------------------------------------ *)
 (* Rendezvous dispatch                                                 *)
@@ -402,8 +396,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     let statuses = Array.map (fun (r : Sysabi.raw) -> Word.to_signed r.Sysabi.args.(0)) raws in
     check t ~fail:(fun () -> Alarm.Exit_mismatch { statuses }) (all_equal statuses);
     if notes_wanted t then
-      trace t ~syscall ~raws
-        (Printf.sprintf "exit(%d) checked across variants" statuses.(0));
+      trace t ~syscall (Printf.sprintf "exit(%d) checked across variants" statuses.(0));
     ignore (Kernel.sys_exit k ~status:statuses.(0));
     Some (Exited statuses.(0))
   | n when n = Syscall.sys_read ->
@@ -427,7 +420,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
         (* Fault injection: each variant receives a possibly-perturbed
            copy of the replicated input, with its own byte count. *)
         if notes_wanted t then
-          trace t ~syscall ~raws
+          trace t ~syscall
             (Printf.sprintf "read(%d): %d bytes replicated with fault injection" fd count);
         let chunks =
           Array.init (Array.length t.variants) (fun i -> perturb ~variant:i bytes)
@@ -443,7 +436,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
         deliver t ~syscall (Array.map (fun c -> Word.mask (String.length c)) chunks)
       | Some _ | None ->
         if notes_wanted t then
-          trace t ~syscall ~raws
+          trace t ~syscall
             (Printf.sprintf "read(%d): performed once, %d bytes replicated to all variants"
                fd count);
         Array.iteri
@@ -456,7 +449,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
         deliver_same t ~syscall (Word.of_signed count))
     | Kernel.Per_variant chunks ->
       if notes_wanted t then
-        trace t ~syscall ~raws
+        trace t ~syscall
           (Printf.sprintf "read(%d): unshared file, each variant reads its own copy" fd);
       Array.iteri
         (fun i buf ->
@@ -492,7 +485,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     in
     if unshared then begin
       if notes_wanted t then
-        trace t ~syscall ~raws "write: unshared file, each variant writes its own copy";
+        trace t ~syscall "write: unshared file, each variant writes its own copy";
       deliver_same t ~syscall (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Per_variant chunks)))
     end
     else begin
@@ -504,7 +497,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
         (all_equal chunks);
       Metrics.incr t.output_writes_checked_c;
       if notes_wanted t then
-        trace t ~syscall ~raws
+        trace t ~syscall
           (Printf.sprintf "write(%d): bytes checked equal, performed once" fd);
       deliver_same t ~syscall (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Shared_data chunks.(0))))
     end;
@@ -513,7 +506,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     let path = canon_string t ~raws ~syscall ~index:0 in
     let flags = Word.to_signed (canon_int t ~raws ~syscall ~index:1) in
     if notes_wanted t then
-      trace t ~syscall ~raws
+      trace t ~syscall
         (if Kernel.is_unshared k path then
            Printf.sprintf "open(%S): unshared, variant i gets %s-i" path path
          else Printf.sprintf "open(%S): shared descriptor" path);
@@ -541,7 +534,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     end
     else begin
       if notes_wanted t then
-        trace t ~syscall ~raws
+        trace t ~syscall
           (Printf.sprintf "accept(%d) -> fd %d for all variants" listen_fd fd);
       deliver_same t ~syscall (Word.of_signed fd);
       continue_
@@ -559,7 +552,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
           (uid_spec t i).Reexpression.encode canonical)
     in
     if notes_wanted t then
-      trace t ~syscall ~raws
+      trace t ~syscall
         (Format.asprintf "%s -> canonical %a, reexpressed per variant" (Syscall.name n)
            Word.pp canonical);
     deliver t ~syscall per_variant;
@@ -574,7 +567,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       else Kernel.sys_setegid k ~gid:canonical
     in
     if notes_wanted t then
-      trace t ~syscall ~raws
+      trace t ~syscall
         (Format.asprintf "%s: R_i^-1 applied, canonical %a agreed, performed once"
            (Syscall.name n) Word.pp canonical);
     deliver_same t ~syscall (Word.of_signed result);
@@ -584,7 +577,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
        passed (still reexpressed) value to each variant. *)
     let canonical = canon_uid t ~raws ~syscall ~index:0 in
     if notes_wanted t then
-      trace t ~syscall ~raws
+      trace t ~syscall
         (Format.asprintf "uid_value: canonical %a equivalent in all variants" Word.pp
            canonical);
     deliver t ~syscall (Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(0)) raws);
@@ -595,7 +588,7 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     let values = Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(0)) raws in
     check t ~fail:(fun () -> Alarm.Cond_mismatch { values }) (all_equal values);
     if notes_wanted t then
-      trace t ~syscall ~raws (Printf.sprintf "cond_chk(%d): paths agree" values.(0));
+      trace t ~syscall (Printf.sprintf "cond_chk(%d): paths agree" values.(0));
     deliver_same t ~syscall values.(0);
     continue_
   | n when Syscall.is_detection_call n ->
@@ -612,14 +605,14 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       else not (Word.lt_unsigned a b)
     in
     if notes_wanted t then
-      trace t ~syscall ~raws
+      trace t ~syscall
         (Format.asprintf "%s(%a, %a) = %b on canonical values" (Syscall.name n) Word.pp a
            Word.pp b result);
     deliver_same t ~syscall (if result then 1 else 0);
     continue_
   | _ ->
     if notes_wanted t then
-      trace t ~syscall ~raws "unknown syscall: -1 to all variants";
+      trace t ~syscall "unknown syscall: -1 to all variants";
     deliver_same t ~syscall (Word.of_signed (-1));
     continue_
 

@@ -27,7 +27,6 @@ type outcome =
 
 type event = {
   ev_syscall : int;
-  ev_raw_args : int array array;  (** [variant][arg 0..4] as trapped *)
   ev_note : string;  (** human-readable canonicalization summary *)
 }
 (** One rendezvous, for the Figure 2 trace demo. *)

@@ -23,6 +23,11 @@ val parse : string -> (entry list, string) result
 
 val serialize : entry list -> string
 
+val reexpressed_length : f:(Cred.uid -> Cred.uid) -> entry list -> int
+(** [String.length (serialize es)], where [es] is [entries] with [f]
+    applied to every UID and GID field as {!reexpress} does, computed
+    without building the text. *)
+
 val parse_group : string -> (group_entry list, string) result
 (** [name:x:gid:member,member...] lines. *)
 

@@ -27,8 +27,6 @@ type t = { table : (string, metric) Hashtbl.t }
 
 let create () = { table = Hashtbl.create 64 }
 
-let global = create ()
-
 (* ------------------------------------------------------------------ *)
 (* Scopes and registration                                             *)
 (* ------------------------------------------------------------------ *)
@@ -154,10 +152,6 @@ let start tm =
       observe tm.hist (Float.max 0.0 (tm.clock () -. t0))
     end
 
-let time tm f =
-  let stop = start tm in
-  Fun.protect ~finally:stop f
-
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -165,11 +159,6 @@ let time tm f =
 let find_counter reg full =
   match Hashtbl.find_opt reg.table full with
   | Some (Counter c) -> Some c.c
-  | Some _ | None -> None
-
-let find_gauge reg full =
-  match Hashtbl.find_opt reg.table full with
-  | Some (Gauge g) -> Some g.g
   | Some _ | None -> None
 
 let starts_with ~prefix s =

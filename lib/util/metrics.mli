@@ -1,12 +1,11 @@
-(** Process-wide metrics: counters, gauges, histograms.
+(** Metric registries: counters, gauges, histograms.
 
     A {!t} is a registry of named metrics. Names are dot-separated
     paths built from {!scope}s (e.g. ["monitor.calls.read"]); a metric
     is created on first use and shared by every later lookup of the
     same name. All registries are independent: each N-variant system
     gets its own so concurrent systems in one process (tests, the
-    bench harness) do not pollute each other, while {!global} serves
-    code that wants one process-wide registry.
+    bench harness) do not pollute each other.
 
     The registry is deterministic — no wall-clock time, no randomness —
     so metric output is reproducible for a fixed workload. Timers are
@@ -17,9 +16,6 @@ type t
 (** A metric registry. *)
 
 val create : unit -> t
-
-val global : t
-(** The shared process-wide registry. *)
 
 (** {1 Scopes} *)
 
@@ -94,16 +90,10 @@ val start : timer -> unit -> unit
 (** [start tm] samples the clock and returns a stop function; calling
     it observes [max 0 (clock () - start)]. Each stop observes once. *)
 
-val time : timer -> (unit -> 'a) -> 'a
-(** Run a thunk under {!start}/stop (the observation happens even if
-    the thunk raises). *)
-
 (** {1 Lookup} *)
 
 val find_counter : t -> string -> int option
 (** Value of the counter with this exact full name, if any. *)
-
-val find_gauge : t -> string -> float option
 
 val counters_under : t -> prefix:string -> (string * int) list
 (** All counters whose full name starts with [prefix], as

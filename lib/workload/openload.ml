@@ -1,6 +1,5 @@
 module Fleet = Nv_sim.Fleet
 module Passwd = Nv_os.Passwd
-module Vfs = Nv_os.Vfs
 module Reexpression = Nv_core.Reexpression
 module Prng = Nv_util.Prng
 
@@ -21,28 +20,30 @@ type result = {
   mean_service_s : float;
 }
 
-let population ?seed ~users () = Passwd.sample @ Passwd.generate ?seed users
+type population = {
+  entries : Passwd.entry list;
+  index : Passwd.index;
+  uids : Nv_os.Cred.uid array;
+}
+
+let population ?seed ~users () =
+  let entries = Passwd.sample @ Passwd.generate ?seed users in
+  {
+    entries;
+    index = Passwd.index entries;
+    uids = Array.of_list (List.map (fun e -> e.Passwd.uid) entries);
+  }
+
+let entries p = p.entries
 
 let passwd_world ~entries ~variation =
-  let vfs = Vfs.create () in
-  Vfs.mkdir_p vfs "/etc";
-  Vfs.install vfs ~path:"/etc/passwd" (Passwd.serialize entries);
-  let variants = Nv_core.Variation.count variation in
-  let sizes =
-    Array.init variants (fun i ->
-        (* The deployed variation's own per-variant spec, not a
-           hardcoded default family: under seeded or rotation configs
-           the two encodings disagree on every uid. *)
-        let spec = variation.Nv_core.Variation.variants.(i) in
-        let f = spec.Nv_core.Variation.uid.Reexpression.encode in
-        let diversified =
-          List.map (fun e -> { e with Passwd.uid = f e.Passwd.uid; gid = f e.Passwd.gid }) entries
-        in
-        let path = Printf.sprintf "/etc/passwd-%d" i in
-        Vfs.install vfs ~path (Passwd.serialize diversified);
-        match Vfs.size vfs ~path with Ok n -> n | Error _ -> 0)
-  in
-  (vfs, sizes)
+  (* The deployed variation's own per-variant spec, not a hardcoded
+     default family: under seeded or rotation configs the two
+     encodings disagree on every uid. *)
+  Array.map
+    (fun spec ->
+      Passwd.reexpressed_length ~f:spec.Nv_core.Variation.uid.Reexpression.encode entries)
+    variation.Nv_core.Variation.variants
 
 let mean_service_s ?(cost = Cost_model.default) ~variants samples =
   if Array.length samples = 0 then invalid_arg "Openload.mean_service_s: no samples";
@@ -63,13 +64,15 @@ let mean_service_s ?(cost = Cost_model.default) ~variants samples =
 let comparison_cost_s = 2.0e-8
 
 let run ?(seed = 11) ?(cost = Cost_model.default) ?(fleet = Fleet.default) ?metrics
-    ?trace ?entries ~variants ~samples spec =
+    ?trace ?population:prebuilt ~variants ~samples spec =
   if Array.length samples = 0 then invalid_arg "Openload.run: no samples";
-  let entries =
-    match entries with Some e -> e | None -> population ~seed ~users:spec.users ()
+  let pop =
+    match prebuilt with Some p -> p | None -> population ~seed ~users:spec.users ()
   in
-  let idx = Passwd.index entries in
-  let uids = Array.of_list (List.map (fun e -> e.Passwd.uid) entries) in
+  let idx = pop.index in
+  (* The index may be shared with earlier runs: count this run's
+     comparisons from where they stood. *)
+  let comparisons0 = Passwd.comparisons idx in
   let prng = Prng.create ~seed in
   let cursor = ref (Prng.int prng (Array.length samples)) in
   let lookups = ref 0 in
@@ -77,7 +80,7 @@ let run ?(seed = 11) ?(cost = Cost_model.default) ?(fleet = Fleet.default) ?metr
   let next_request () =
     let sample = samples.(!cursor mod Array.length samples) in
     incr cursor;
-    let uid = Prng.pick prng uids in
+    let uid = Prng.pick prng pop.uids in
     let before = Passwd.comparisons idx in
     (match Passwd.find_uid idx uid with
     | Some _ -> ()
@@ -106,10 +109,10 @@ let run ?(seed = 11) ?(cost = Cost_model.default) ?(fleet = Fleet.default) ?metr
     }
   in
   let report = Fleet.run ?metrics ?trace config ~next_request in
-  let comparisons = Passwd.comparisons idx in
+  let comparisons = Passwd.comparisons idx - comparisons0 in
   {
     fleet = report;
-    population = List.length entries;
+    population = Array.length pop.uids;
     lookups = !lookups;
     comparisons;
     comparisons_per_lookup =

@@ -28,20 +28,26 @@ type result = {
   mean_service_s : float;  (** mean per-request core demand *)
 }
 
-val population : ?seed:int -> users:int -> unit -> Nv_os.Passwd.entry list
+type population
+(** A passwd population with its {!Nv_os.Passwd.index} and uid array
+    built once, so that several {!run}s (one per arrival model, say)
+    share them instead of rebuilding them over a million entries. *)
+
+val population : ?seed:int -> users:int -> unit -> population
 (** {!Nv_os.Passwd.sample} followed by [users] generated entries — the
     same layout {!Nv_core.Nsystem.standard_vfs} installs. *)
 
+val entries : population -> Nv_os.Passwd.entry list
+(** The entries in file order. *)
+
 val passwd_world :
-  entries:Nv_os.Passwd.entry list ->
-  variation:Nv_core.Variation.t ->
-  Nv_os.Vfs.t * int array
-(** Install the canonical [/etc/passwd] plus the per-variant unshared
-    reexpressed copies [/etc/passwd-0..], using the {e deployed
-    variation's} per-variant UID reexpression (not a hardcoded
-    default family), into a fresh VFS. Returns the VFS and the
-    byte size of each variant file — at a million users these are the
-    ~40 MB unshared files the fleet's replicas would carry. *)
+  entries:Nv_os.Passwd.entry list -> variation:Nv_core.Variation.t -> int array
+(** Byte size of each per-variant unshared reexpressed copy
+    [/etc/passwd-0..] of [entries], using the {e deployed variation's}
+    per-variant UID reexpression (not a hardcoded default family).
+    The sizes are counted, not serialized: at a million users these
+    are the 62.8 MB and 71.0 MB unshared files the fleet's config4
+    replicas would carry. *)
 
 val mean_service_s :
   ?cost:Cost_model.t -> variants:int -> Measure.sample array -> float
@@ -54,7 +60,7 @@ val run :
   ?fleet:Nv_sim.Fleet.config ->
   ?metrics:Nv_util.Metrics.t ->
   ?trace:Nv_util.Trace.t ->
-  ?entries:Nv_os.Passwd.entry list ->
+  ?population:population ->
   variants:int ->
   samples:Measure.sample array ->
   spec ->
@@ -64,9 +70,9 @@ val run :
     sizes, health-check timings — defaults {!Nv_sim.Fleet.default});
     [spec.replicas], [spec.arrival], [spec.duration_s] and [seed]
     override it. Each arrival performs one indexed [find_uid] against
-    the passwd population ([entries] when given — lets a caller
-    generate a million-entry population once and reuse it across
-    arrival models — else {!population} of [spec.users]); the
-    comparisons it spends are charged to that request's service time.
+    the passwd population ([population] when given, else {!population}
+    of [spec.users]); the comparisons it spends are charged to that
+    request's service time, and [result.comparisons] counts this run's
+    alone even when [population] is shared with other runs.
     [trace] is handed to {!Nv_sim.Fleet.run} for flight-recorder rings.
     Raises [Invalid_argument] on empty [samples]. *)

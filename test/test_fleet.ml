@@ -208,24 +208,52 @@ let test_passwd_world_follows_variation () =
   (* Regression: passwd_world used to encode every copy with the
      hardcoded default key family, so a seeded or rotated deployment
      got unshared files its own variants could not decode. The copies
-     must come from the deployed variation's per-variant specs. *)
-  let entries = Openload.population ~seed:5 ~users:20 () in
-  let contents variation i =
-    let vfs, _ = Openload.passwd_world ~entries ~variation in
-    match Nv_os.Vfs.contents vfs ~path:(Printf.sprintf "/etc/passwd-%d" i) with
-    | Ok s -> s
-    | Error _ -> Alcotest.failf "missing /etc/passwd-%d" i
-  in
-  let default = Deploy.variation Deploy.Two_variant_uid in
-  let seeded = Deploy.variation Deploy.Seeded_three in
-  let _, sizes = Openload.passwd_world ~entries ~variation:seeded in
-  Alcotest.(check int) "one copy per variant" 3 (Array.length sizes);
-  Alcotest.(check string) "variant 0 is the identity in both deployments"
-    (contents default 0) (contents seeded 0);
-  Alcotest.(check bool) "variant 1 follows the deployed key, not the default" true
-    (contents default 1 <> contents seeded 1);
-  Alcotest.(check bool) "seeded variants pairwise distinct" true
-    (contents seeded 1 <> contents seeded 2)
+     must come from the deployed variation's per-variant specs; under
+     these two deployments every non-identity copy then differs in
+     size from the default family's. *)
+  let entries = Openload.entries (Openload.population ~seed:5 ~users:20 ()) in
+  List.iter
+    (fun config ->
+      let name = Deploy.name config in
+      let sizes = Openload.passwd_world ~entries ~variation:(Deploy.variation config) in
+      Alcotest.(check int) (name ^ ": one copy per variant") 3 (Array.length sizes);
+      Alcotest.(check int)
+        (name ^ ": variant 0 is the identity")
+        (String.length (Nv_os.Passwd.serialize entries))
+        sizes.(0);
+      for i = 1 to 2 do
+        let default =
+          Nv_os.Passwd.reexpressed_length
+            ~f:(Nv_core.Reexpression.uid_for_variant i).Nv_core.Reexpression.encode entries
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: variant %d follows the deployed key, not the default" name i)
+          true (sizes.(i) <> default)
+      done)
+    [ Deploy.Seeded_three; Deploy.Rotation_only_three ]
+
+let test_passwd_world_sizes_match_serialize () =
+  (* The sizes are counted without serializing; they must equal the
+     length of the text each variant's copy would hold. *)
+  let entries = Openload.entries (Openload.population ~seed:5 ~users:200 ()) in
+  List.iter
+    (fun config ->
+      let variation = Deploy.variation config in
+      let sizes = Openload.passwd_world ~entries ~variation in
+      Array.iteri
+        (fun i spec ->
+          let f = spec.Nv_core.Variation.uid.Nv_core.Reexpression.encode in
+          let diversified =
+            List.map
+              (fun e -> { e with Nv_os.Passwd.uid = f e.Nv_os.Passwd.uid; gid = f e.gid })
+              entries
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s /etc/passwd-%d" (Deploy.name config) i)
+            (String.length (Nv_os.Passwd.serialize diversified))
+            sizes.(i))
+        variation.Nv_core.Variation.variants)
+    [ Deploy.Two_variant_uid; Deploy.Seeded_three ]
 
 (* ------------------------------------------------------------------ *)
 (* Openload end-to-end                                                 *)
@@ -259,6 +287,24 @@ let test_openload_engines_identical () =
   Alcotest.(check int)
     "one lookup per arrival" block.Openload.fleet.Fleet.arrivals
     block.Openload.lookups
+
+let test_openload_shared_population () =
+  (* bench fleet shares one prebuilt population (and its index) across
+     its arrival models: a second run over it must not see the first
+     run's lookups in its comparison count. *)
+  match Deploy.build Deploy.Two_variant_uid with
+  | Error e -> Alcotest.failf "deploy failed: %s" e
+  | Ok sys -> (
+    match Measure.profile ~requests:4 ~seed:9 sys with
+    | Error e -> Alcotest.failf "profile failed: %s" e
+    | Ok samples ->
+      let samples = Array.sub samples 1 (Array.length samples - 1) in
+      let population = Openload.population ~seed:9 ~users:openload_spec.Openload.users () in
+      let run () = Openload.run ~seed:9 ~population ~variants:2 ~samples openload_spec in
+      let first = run () in
+      Alcotest.(check bool) "consecutive runs identical" true (first = run ());
+      Alcotest.(check bool) "same as a run over its own population" true
+        (first = Openload.run ~seed:9 ~variants:2 ~samples openload_spec))
 
 let test_openload_sublinear_lookups () =
   let result = run_openload () in
@@ -297,6 +343,10 @@ let () =
         [
           Alcotest.test_case "passwd world follows variation" `Quick
             test_passwd_world_follows_variation;
+          Alcotest.test_case "passwd world sizes match serialize" `Quick
+            test_passwd_world_sizes_match_serialize;
+          Alcotest.test_case "runs sharing a population identical" `Quick
+            test_openload_shared_population;
           Alcotest.test_case "seq and par runs identical" `Quick
             test_openload_engines_identical;
           Alcotest.test_case "indexed lookups stay sublinear" `Quick

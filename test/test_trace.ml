@@ -66,6 +66,46 @@ let test_disabled_allocates_nothing () =
     true
     (w1 -. w0 < 100.0)
 
+let test_disabled_server_records_nothing () =
+  (* The same contract through a whole monitored server: with the
+     session disabled, requests, an absorbed attack and the supervisor's
+     checkpoint and rollback leave every ring empty. Enabling the
+     session then fills each lane, so the empty rings are not an
+     artifact of rings that never record. *)
+  match Deploy.build ~recover:Nv_core.Supervisor.default_config Deploy.Two_variant_uid with
+  | Error e -> Alcotest.failf "build failed: %s" e
+  | Ok sys ->
+    let session = Monitor.trace_session (Nsystem.monitor sys) in
+    let serve () =
+      match Nsystem.serve sys (Nv_httpd.Http.get "/") with
+      | Nsystem.Served _ -> ()
+      | Nsystem.Stopped _ -> Alcotest.fail "request not served"
+    in
+    for _ = 1 to 3 do
+      serve ()
+    done;
+    let attack = Option.get (Campaign.find "uid-null-overflow") in
+    (* The supervisor absorbs the alarm, so the attack's own probe sees
+       a healthy server; the recovery counter shows it was caught. *)
+    ignore (attack.Campaign.run sys);
+    let sup = Option.get (Nsystem.supervisor sys) in
+    Alcotest.(check bool) "rolled back" true (Nv_core.Supervisor.recoveries sup > 0);
+    Alcotest.(check bool) "checkpointed" true (Nv_core.Supervisor.checkpoints sup > 1);
+    List.iter
+      (fun r -> Alcotest.(check int) (Trace.ring_name r ^ " disabled") 0 (Trace.recorded r))
+      (Trace.rings session);
+    Trace.set_enabled session true;
+    serve ();
+    let recorded name =
+      match List.find_opt (fun r -> Trace.ring_name r = name) (Trace.rings session) with
+      | Some r -> Trace.recorded r
+      | None -> Alcotest.failf "no %s ring" name
+    in
+    List.iter
+      (fun name ->
+        Alcotest.(check bool) (name ^ " records once enabled") true (recorded name > 0))
+      [ "variant 0"; "variant 1"; "coordinator"; "kernel"; "supervisor" ]
+
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -342,6 +382,8 @@ let () =
           Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
           Alcotest.test_case "disabled allocates nothing" `Quick
             test_disabled_allocates_nothing;
+          Alcotest.test_case "disabled server records nothing" `Quick
+            test_disabled_server_records_nothing;
           Alcotest.test_case "metrics published" `Quick test_metrics_published;
         ] );
       ( "sinks",
