@@ -219,10 +219,11 @@ val restore : t -> snapshot -> int
 (** Roll every variant and the kernel back to [snap]; returns the
     number of live connections dropped. Any pending signal is
     discarded and the latency baseline re-anchored. Each variant's
-    decoded state is dropped with its memory ({!Nv_vm.Memory.restore}):
-    compiled blocks are invalidated and decoded pages released, to be
-    rebuilt as the restored code runs. A snapshot may be restored any
-    number of times. *)
+    memory restore rewrites only the pages that differ from the
+    snapshot ({!Nv_vm.Memory.restore}): compiled blocks and decoded
+    pages are dropped there, to be rebuilt as the restored code runs,
+    and kept everywhere else. A snapshot may be restored any number of
+    times. *)
 
 val set_input_fault : t -> (variant:int -> string -> string) option -> unit
 (** Install (or clear) a fault-injection hook on replicated input:

@@ -54,12 +54,14 @@ val abs_symbol : loaded -> string -> int
 
 type snapshot
 (** A checkpoint of one loaded variant: the CPU's architectural state
-    ({!Cpu.snapshot}) plus the full segment bytes
-    ({!Memory.snapshot}). The layout is immutable and not captured. *)
+    ({!Cpu.snapshot}) plus the segment bytes ({!Memory.snapshot}, which
+    copies only the pages dirtied since the previous checkpoint). The
+    layout is immutable and not captured. *)
 
 val snapshot : loaded -> snapshot
 
 val restore : loaded -> snapshot -> unit
-(** Roll the variant back to the snapshot. The segment's
-    decoded-instruction cache is invalidated as part of the memory
-    restore. *)
+(** Roll the variant back to the snapshot. The memory restore rewrites
+    only the pages that differ from the snapshot and drops decoded
+    instructions and compiled blocks on those pages only
+    ({!Memory.restore}). *)

@@ -60,6 +60,15 @@ type t = {
   size : int;
   data : Bytes.t;
   pages : page array;  (* the page directory: one entry per 4 KiB *)
+  (* Checkpoint state, one element per 4 KiB page: [clean.(i)] is an
+     immutable copy that page [i] equals (its first [page_length] bytes)
+     while [dirty.(i)] is unset. Its physical identity is the page's
+     version: a snapshot shares it, and [restore] skips a clean page
+     whose copy is the snapshot's own. A fresh segment's pages all share
+     one zero page of its own, so another segment's snapshot never
+     matches a page it did not hand over. *)
+  clean : Bytes.t array;
+  dirty : bool array;
   mutable engine : engine;
   mutable block_invalidations : int;
   (* Watermark of slots ever decoded or registered (empty when
@@ -89,11 +98,14 @@ let default_engine () =
 let create ~base ~size =
   if base < 0 || size < 0 || base + size > 0x1_0000_0000 then
     invalid_arg "Memory.create: segment outside the 32-bit address space";
+  let page_count = (size + (1 lsl page_shift) - 1) lsr page_shift in
   {
     base;
     size;
     data = Bytes.make size '\000';
-    pages = Array.make ((size + (1 lsl page_shift) - 1) lsr page_shift) empty_page;
+    pages = Array.make page_count empty_page;
+    clean = Array.make page_count (Bytes.make (1 lsl page_shift) '\000');
+    dirty = Array.make page_count false;
     engine = default_engine ();
     block_invalidations = 0;
     wm_lo = max_int;
@@ -210,13 +222,16 @@ let register_block t ~slot ~slots ~valid code =
   widen_watermark t slot (slot + slots - 1)
 
 (* Store-side maintenance for a write of [len] bytes at segment offset
-   [off]: reset the overlapped decode slots and invalidate every
-   registered block whose span intersects them. The cover counts make
-   the no-block case (every store into plain data) one directory load
-   per slot; only when a store actually lands under a compiled block do
-   we back-scan the bounded window of entry slots that could span
-   it. *)
+   [off]: mark the overlapped pages dirty for the next checkpoint, reset
+   the overlapped decode slots and invalidate every registered block
+   whose span intersects them. The cover counts make the no-block case
+   (every store into plain data) one directory load per slot; only when
+   a store actually lands under a compiled block do we back-scan the
+   bounded window of entry slots that could span it. *)
 let invalidate_window t off len =
+  for p = off lsr page_shift to (off + len - 1) lsr page_shift do
+    t.dirty.(p) <- true
+  done;
   let lo = off lsr instr_shift in
   let hi = (off + len - 1) lsr instr_shift in
   if lo <= t.wm_hi && hi >= t.wm_lo then begin
@@ -242,33 +257,41 @@ let invalidate_window t off len =
 (* Checkpointing                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type snapshot = Bytes.t
+type snapshot = { snap_size : int; snap_pages : Bytes.t array }
 
-let snapshot t = Bytes.copy t.data
+let page_length t i = min (1 lsl page_shift) (t.size - (i lsl page_shift))
 
-let restore t snap =
-  if Bytes.length snap <> t.size then
-    invalid_arg "Memory.restore: snapshot is for a different segment size";
-  Bytes.blit snap 0 t.data 0 t.size;
-  (* The rolled-back bytes may differ anywhere in the segment, so every
-     cached decode and compiled block is suspect: retire every
-     registered block, then drop the allocated pages. Only the few
-     pages that held decoded code are visited. *)
+(* Copy the pages dirtied since the last checkpoint; every other page
+   shares the copy it already equals. *)
+let snapshot t =
   Array.iteri
-    (fun i p ->
-      if p != empty_page then begin
-        Array.iter
-          (fun e ->
-            if e != no_entry then begin
-              e.be_valid := false;
-              t.block_invalidations <- t.block_invalidations + 1
-            end)
-          p.entries;
-        t.pages.(i) <- empty_page
+    (fun i dirty ->
+      if dirty then begin
+        t.clean.(i) <- Bytes.sub t.data (i lsl page_shift) (page_length t i);
+        t.dirty.(i) <- false
       end)
-    t.pages;
-  t.wm_lo <- max_int;
-  t.wm_hi <- -1
+    t.dirty;
+  { snap_size = t.size; snap_pages = Array.copy t.clean }
+
+(* Rewrite only the pages that may differ from the snapshot: dirty ones,
+   and clean ones holding another copy. [invalidate_window] over a
+   rewritten page retires every block that touches it, which leaves its
+   directory entry empty; pages left alone keep their decoded state, so
+   blocks on untouched code pages survive a rollback. *)
+let restore t snap =
+  if snap.snap_size <> t.size then
+    invalid_arg "Memory.restore: snapshot is for a different segment size";
+  Array.iteri
+    (fun i page ->
+      if t.dirty.(i) || t.clean.(i) != page then begin
+        let off = i lsl page_shift and len = page_length t i in
+        Bytes.blit page 0 t.data off len;
+        invalidate_window t off len;
+        t.pages.(i) <- empty_page;
+        t.clean.(i) <- page;
+        t.dirty.(i) <- false
+      end)
+    snap.snap_pages
 
 let load_byte t addr =
   check t addr Read;

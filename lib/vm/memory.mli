@@ -31,21 +31,27 @@ val to_offset : t -> int -> int
     [Fault] if out of range. *)
 
 type snapshot
-(** A checkpoint of a segment's bytes (the base/size geometry is not
-    captured; a snapshot can only be restored into the segment it was
-    taken from, or one with the same size). *)
+(** An immutable checkpoint of a segment's bytes, kept as one copy per
+    4 KiB page (the base is not captured; a snapshot can only be
+    restored into the segment it was taken from, or one with the same
+    size). It can be restored any number of times, in any order. *)
 
 val snapshot : t -> snapshot
-(** Copy of the full segment contents. *)
+(** Checkpoint the segment. Only the pages dirtied since the segment's
+    previous snapshot or restore are copied; every other page is shared
+    with the earlier checkpoints that hold the same copy. The cost
+    follows the pages the guest wrote, not the segment size. *)
 
 val restore : t -> snapshot -> unit
-(** Overwrite the segment with the snapshot bytes and drop all decoded
-    state: every registered compiled block is invalidated (and counted
-    in {!block_invalidations}) and every allocated page of the page
-    directory is released, since the rollback may change code bytes
-    anywhere. The cost follows the few pages that held decoded code,
-    not the segment size. Raises [Invalid_argument] on a segment-size
-    mismatch. *)
+(** Roll the segment back to the snapshot. Only the pages that may
+    differ are rewritten: those dirtied since the last checkpoint, and
+    those holding a copy other than the snapshot's (every page, for a
+    snapshot of another segment). Decoded state is dropped on exactly
+    those pages: their registered blocks are invalidated (and counted in
+    {!block_invalidations}) and their page-directory entries released.
+    Compiled blocks on pages left alone stay valid. Raises
+    [Invalid_argument] on a segment-size mismatch, before touching the
+    segment. *)
 
 val load_byte : t -> int -> int
 val store_byte : t -> int -> int -> unit
@@ -148,8 +154,8 @@ val register_block : t -> slot:int -> slots:int -> valid:bool ref -> block_code 
     entry slot [slot], replacing (and invalidating) any block
     previously registered at that entry. [valid] is the block's shared
     validity cell: the segment sets it to [false] when a store
-    intersects the span, the segment is {!restore}d, or the entry is
-    re-registered, and drops the entry at the same time. *)
+    intersects the span, a {!restore} rewrites a page under it, or the
+    entry is re-registered, and drops the entry at the same time. *)
 
 val block_at : t -> slot:int -> block_code
 (** The code registered at entry slot [slot]; a constructor private to
@@ -171,11 +177,14 @@ val bytes : t -> Bytes.t
 (** The live backing store. The reference is stable for the lifetime of
     the segment ({!restore} blits in place); offset [o] maps to address
     [base + o]. Callers that write through it must follow with
-    {!invalidate_window}. *)
+    {!invalidate_window}: a write that skips it leaves stale decoded
+    code and corrupts later checkpoints. *)
 
 val invalidate_window : t -> int -> int -> unit
-(** [invalidate_window t off len] performs the store-side cache
-    maintenance for a write of [len] bytes at segment offset [off]:
-    drops overlapped decode-cache slots and invalidates intersecting
-    registered blocks. O(1) — two compares — for stores outside the
+(** [invalidate_window t off len] performs the store-side maintenance
+    for a write of [len] bytes at segment offset [off]: marks the
+    overlapped 4 KiB pages dirty, so the next {!snapshot} copies them
+    and the next {!restore} rewrites them; drops overlapped decode-cache
+    slots; and invalidates intersecting registered blocks. Past the
+    dirty mark it is O(1) — two compares — for stores outside the
     decoded region, one directory load per slot inside it. *)

@@ -19,12 +19,14 @@
      instruction tag still faults — under every engine.
    - Page-directory tests: a block straddling a 4 KiB page boundary is
      invalidated by a one-byte store into either page, wrong-tag code
-     in a segment's last page faults, restore drops every page and
-     retires the block the dispatcher last ran, and the served config4
-     deployment keeps its decoded state within a few pages.
+     in a segment's last page faults, a restore that rewrites a code
+     page retires the block the dispatcher last ran, a restore that
+     rewrites only data pages keeps the compiled blocks, and the served
+     config4 deployment keeps its decoded state within a few pages.
    - qcheck properties pin the block registry's invalidation contract
-     (a store intersecting a registered span flips its validity cell)
-     and the sliced-run equivalence.
+     (a store intersecting a registered span flips its validity cell),
+     the sliced-run equivalence, and incremental checkpoints against a
+     full-copy model.
    - A pinned regression asserts the bench report's demand/monitor
      counters are byte-identical to the committed BENCH_results.json
      baseline. *)
@@ -171,12 +173,14 @@ let test_differential_random_programs () =
    (jmpr through small scratch values). Every slice must leave both
    engines in bit-identical architectural state.
 
-   With [~restore], both machines are checkpointed before the first
-   slice and rolled back once, at a random slice or when the run first
-   stops, then run on: the block engine must drop every compiled block
-   and decoded page with the rollback (the program may have rewritten
-   its own code since the checkpoint) and still agree with the
-   reference. *)
+   With [~restore], the reference machine is checkpointed before the
+   first slice and both are rolled back to it once, at a random slice
+   or when the run first stops, then run on. The block segment never
+   took a snapshot of its own, so none of its pages holds the
+   checkpoint's copy and the restore rewrites them all: it must drop
+   every compiled block and decoded page with the rollback (the program
+   may have rewritten its own code since the checkpoint) and still agree
+   with the reference. *)
 let outcome_to_string = function
   | Cpu.Trapped trap -> trap_to_string (Some trap)
   | Cpu.Out_of_fuel -> "out of fuel"
@@ -405,6 +409,35 @@ let test_restore_retires_compiled_blocks () =
   Alcotest.(check int) "no decoded pages after restore" 0 (Memory.decoded_pages memory);
   Alcotest.(check int) "checkpointed code after restore" 1 (run_to_halt ())
 
+(* A rollback rewrites only the pages that changed since the checkpoint.
+   This program sits on page 0 and stores only to page 4, so its
+   compiled block survives the restore and the re-run reuses it on the
+   rolled-back data: it reads 0 again and ends with the same
+   registers. *)
+let test_blocks_survive_data_rollback () =
+  let loaded =
+    load_source ~engine:Memory.Block
+      "mov r2, #0x5000\nld r1, [r2]\nadd r1, r1, #1\nst [r2], r1\nhalt"
+  in
+  let { Image.cpu; memory; _ } = loaded in
+  let cpu_snap = Cpu.snapshot cpu and mem_snap = Memory.snapshot memory in
+  let run_to_halt () =
+    match Cpu.run cpu ~fuel:10 with
+    | Cpu.Trapped Cpu.Halt_trap -> Array.init 16 (Cpu.reg cpu)
+    | o -> Alcotest.failf "expected halt, got %s" (outcome_to_string o)
+  in
+  let first = run_to_halt () in
+  let compiled, _, _ = Cpu.block_stats cpu in
+  let invalidations = Memory.block_invalidations memory in
+  Cpu.restore cpu cpu_snap;
+  Memory.restore memory mem_snap;
+  Alcotest.(check int) "no block retired by the restore" invalidations
+    (Memory.block_invalidations memory);
+  Alcotest.(check bool) "decoded pages survive" true (Memory.decoded_pages memory > 0);
+  Alcotest.(check (array int)) "same registers on the re-run" first (run_to_halt ());
+  let recompiled, _, _ = Cpu.block_stats cpu in
+  Alcotest.(check int) "the re-run compiles nothing" compiled recompiled
+
 (* Decoded state follows the code that runs, not the 1 MiB segment: once
    the config4 server has served requests and parked on accept again,
    each variant's decoded state spans at most 6 pages (about 17 KB of
@@ -478,6 +511,234 @@ let prop_engines_agree_across_restore =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* qcheck property: checkpoints against a full-copy model              *)
+(* ------------------------------------------------------------------ *)
+
+(* Two segments of one size, with a partial last page, share one base
+   so snapshots and guest code move freely between them. Each has a
+   [Bytes] model that every operation updates by full copies; after
+   every operation both segments must equal their models. Incremental
+   checkpoints are then invisible: a snapshot that missed a dirtied page
+   or a restore that skipped a changed one shows up as a byte
+   difference, and a compiled block that survived a rollback of its
+   code shows up when the guest re-runs. *)
+let ck_size = (3 * page_bytes) + 100
+
+(* The guest: one store of each kind the block compiler inlines, each
+   through its own pointer so each can dirty a page no other touches.
+   [st] and [stb] store into data; the second [st] rewrites the [stb]
+   offset inside its own running block; [push] and [call] store through
+   two stack pointers. [at] is its code offset. *)
+let guest_code at =
+  let code = base + at in
+  [
+    Isa.Store (1, 0, 2); Isa.Storeb (5, 5, 2); Isa.Store (3, 0, 4); Isa.Push 2;
+    Isa.Mov (Cpu.sp_index, Isa.Reg 6); Isa.Call (code + (7 * Isa.instr_size)); Isa.Halt;
+    Isa.Halt;
+  ]
+  |> List.map (Isa.encode ~tag:0)
+  |> Bytes.concat Bytes.empty
+
+(* Where the guest's code can sit: page 0, straddling the first page
+   edge, and the end of the partial last page. *)
+let guest_sites = [| 0; page_bytes - 24; ck_size - 64 |]
+
+type guest = {
+  g_site : int;
+  g_write : bool;  (* store the code first; otherwise run what is there *)
+  g_word : int;  (* segment offsets the pointers hold *)
+  g_byte : int;
+  g_push_sp : int;
+  g_call_sp : int;
+  g_value : int;
+  g_offset : int;  (* the [stb] offset the guest writes into its code *)
+}
+
+type ck_op =
+  | Store_byte of int * int * int  (* segment, offset, value *)
+  | Store_word of int * int * int
+  | Store_cstring of int * int * string
+  | Store_bytes of int * int * int * int  (* segment, offset, length, fill seed *)
+  | Guest of int * guest
+  | Snapshot of int
+  | Restore of int * int  (* segment, index of an earlier snapshot *)
+
+let ck_op_to_string = function
+  | Store_byte (s, o, v) -> Printf.sprintf "store_byte %d @%d %d" s o v
+  | Store_word (s, o, v) -> Printf.sprintf "store_word %d @%d %d" s o v
+  | Store_cstring (s, o, str) -> Printf.sprintf "store_cstring %d @%d %S" s o str
+  | Store_bytes (s, o, n, seed) ->
+    Printf.sprintf "store_bytes %d @%d len %d seed %d" s o n seed
+  | Guest (s, g) ->
+    Printf.sprintf "guest %d at %d%s st @%d stb @%d push @%d call @%d value %d offset %d" s
+      g.g_site
+      (if g.g_write then " (written)" else "")
+      g.g_word g.g_byte g.g_push_sp g.g_call_sp g.g_value g.g_offset
+  | Snapshot s -> Printf.sprintf "snapshot %d" s
+  | Restore (s, i) -> Printf.sprintf "restore %d <- #%d" s i
+
+let ck_op_gen =
+  let open QCheck.Gen in
+  (* Offsets cluster around page edges, where page-granular bookkeeping
+     is most likely to be off by one. *)
+  let offset ~room =
+    let last = ck_size - room in
+    oneof
+      [
+        int_bound last;
+        map2
+          (fun p d -> max 0 (min last ((p * page_bytes) + d - 16)))
+          (int_bound 3) (int_bound 32);
+      ]
+  in
+  let seg = int_bound 1 and word = int_bound 0x7FFFFFFF in
+  let stack_pointer = map (fun o -> 4 + (o land lnot 3)) (offset ~room:4) in
+  let guest =
+    map
+      (fun (((site, write), (word, byte)), ((push_sp, call_sp), (value, offset))) ->
+        {
+          g_site = guest_sites.(site);
+          g_write = write;
+          g_word = word;
+          g_byte = byte;
+          g_push_sp = push_sp;
+          g_call_sp = call_sp;
+          g_value = value;
+          g_offset = offset;
+        })
+      (pair
+         (pair (pair (int_bound 2) bool) (pair (offset ~room:4) (offset ~room:64)))
+         (pair (pair stack_pointer stack_pointer) (pair (int_bound 0xFFFF) (int_bound 63))))
+  in
+  frequency
+    [
+      (3, map3 (fun s o v -> Store_byte (s, o, v)) seg (offset ~room:1) (int_bound 255));
+      (3, map3 (fun s o v -> Store_word (s, o, v)) seg (offset ~room:4) word);
+      ( 2,
+        seg >>= fun s ->
+        string_size ~gen:(char_range 'a' 'z') (int_bound 40) >>= fun str ->
+        map (fun o -> Store_cstring (s, o, str)) (offset ~room:(String.length str + 1)) );
+      ( 2,
+        seg >>= fun s ->
+        int_bound 9000 >>= fun n ->
+        map2 (fun o seed -> Store_bytes (s, o, n, seed)) (offset ~room:n) (int_bound 255) );
+      (4, map2 (fun s g -> Guest (s, g)) seg guest);
+      (3, map (fun s -> Snapshot s) seg);
+      (3, map2 (fun s i -> Restore (s, i)) seg (int_bound 50));
+    ]
+
+(* Run one guest on [cpu] (block engine) and on a fresh reference
+   segment holding the model's bytes; both must agree, and the
+   reference segment's bytes become the new model. *)
+let contents memory = Memory.load_bytes memory ~addr:base ~len:ck_size
+
+let run_guest cpu model g =
+  let code = base + g.g_site in
+  let oracle_mem = Memory.create ~base ~size:ck_size in
+  Memory.set_engine oracle_mem Memory.Reference;
+  Memory.store_bytes oracle_mem ~addr:base model;
+  let oracle = Cpu.create oracle_mem ~pc:code ~sp:(base + g.g_push_sp) in
+  List.iter
+    (fun c ->
+      for r = 0 to 15 do
+        Cpu.set_reg c r 0
+      done;
+      Cpu.set_reg c 1 (base + g.g_word);
+      Cpu.set_reg c 2 g.g_value;
+      Cpu.set_reg c 3 (code + Isa.instr_size + 4);
+      Cpu.set_reg c 4 g.g_offset;
+      Cpu.set_reg c 5 (base + g.g_byte);
+      Cpu.set_reg c 6 (base + g.g_call_sp);
+      Cpu.set_reg c Cpu.sp_index (base + g.g_push_sp);
+      Cpu.set_pc c code)
+    [ cpu; oracle ];
+  let expected = outcome_to_string (Cpu.run oracle ~fuel:64) in
+  let got = outcome_to_string (Cpu.run cpu ~fuel:64) in
+  if got <> expected then QCheck.Test.fail_reportf "guest: %s, reference: %s" got expected;
+  if Cpu.pc cpu <> Cpu.pc oracle then QCheck.Test.fail_reportf "guest: pc differs";
+  for r = 0 to 15 do
+    if Cpu.reg cpu r <> Cpu.reg oracle r then
+      QCheck.Test.fail_reportf "guest: r%d differs" r
+  done;
+  contents oracle_mem
+
+let rejects memory snap =
+  match Memory.restore memory snap with
+  | () -> false
+  | exception Invalid_argument _ -> true
+
+let prop_checkpoints_match_model =
+  QCheck.Test.make ~name:"checkpoints match a full-copy model" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map ck_op_to_string ops))
+       QCheck.Gen.(list_size (int_range 1 40) ck_op_gen))
+    (fun ops ->
+      let segs =
+        Array.init 2 (fun _ ->
+            let m = Memory.create ~base ~size:ck_size in
+            Memory.set_engine m Memory.Block;
+            m)
+      in
+      let cpus = Array.map (fun m -> Cpu.create m ~pc:base ~sp:(base + ck_size)) segs in
+      let models = Array.init 2 (fun _ -> Bytes.make ck_size '\000') in
+      (* Every snapshot taken so far, newest first, with its model. *)
+      let snaps = ref [] in
+      let check after =
+        Array.iteri
+          (fun s m ->
+            if not (Bytes.equal (contents m) models.(s)) then
+              QCheck.Test.fail_reportf "segment %d differs from its model after %s" s after)
+          segs
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Store_byte (s, o, v) ->
+            Memory.store_byte segs.(s) (base + o) v;
+            Bytes.set models.(s) o (Char.chr v)
+          | Store_word (s, o, v) ->
+            Memory.store_word segs.(s) (base + o) v;
+            Bytes.set_int32_le models.(s) o (Int32.of_int v)
+          | Store_cstring (s, o, str) ->
+            Memory.store_cstring segs.(s) ~addr:(base + o) str;
+            Bytes.blit_string (str ^ "\000") 0 models.(s) o (String.length str + 1)
+          | Store_bytes (s, o, n, seed) ->
+            let data = Bytes.init n (fun i -> Char.chr ((seed + (i * 7)) land 0xFF)) in
+            Memory.store_bytes segs.(s) ~addr:(base + o) data;
+            Bytes.blit data 0 models.(s) o n
+          | Guest (s, g) ->
+            if g.g_write then begin
+              let code = guest_code g.g_site in
+              Memory.store_bytes segs.(s) ~addr:(base + g.g_site) code;
+              Bytes.blit code 0 models.(s) g.g_site (Bytes.length code)
+            end;
+            models.(s) <- run_guest cpus.(s) models.(s) g
+          | Snapshot s ->
+            snaps := (Memory.snapshot segs.(s), Bytes.copy models.(s)) :: !snaps
+          | Restore (s, i) -> (
+            match !snaps with
+            | [] -> ()
+            | l ->
+              let snap, model = List.nth l (i mod List.length l) in
+              Memory.restore segs.(s) snap;
+              models.(s) <- Bytes.copy model));
+          check (ck_op_to_string op))
+        ops;
+      (* A snapshot only restores into a segment of its own size, even
+         one with the same page count. *)
+      let same_pages = Memory.create ~base ~size:(ck_size - 1) in
+      let more_pages = Memory.create ~base ~size:(ck_size + page_bytes) in
+      let rejected =
+        List.for_all
+          (fun (snap, _) -> rejects same_pages snap && rejects more_pages snap)
+          !snaps
+        && rejects segs.(0) (Memory.snapshot same_pages)
+        && rejects segs.(1) (Memory.snapshot more_pages)
+      in
+      check "the rejected restores";
+      rejected)
+
+(* ------------------------------------------------------------------ *)
 (* Pinned bench counters                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -534,7 +795,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_store_invalidates_registered_span; prop_engines_agree_under_slicing;
-            prop_engines_agree_across_restore;
+            prop_engines_agree_across_restore; prop_checkpoints_match_model;
           ] );
       ( "page directory",
         [
@@ -545,6 +806,8 @@ let () =
           Alcotest.test_case "restore retires compiled blocks" `Quick
             test_restore_retires_compiled_blocks;
           Alcotest.test_case "served config4 footprint" `Quick test_served_footprint_pages;
+          Alcotest.test_case "blocks survive a data-only rollback" `Quick
+            test_blocks_survive_data_rollback;
         ] );
       ( "self-modifying code",
         [

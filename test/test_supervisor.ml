@@ -137,6 +137,33 @@ let test_snapshot_preserves_metrics () =
   Alcotest.(check bool) "instruction counter not rolled back" true
     (retired_before = retired_after && retired_before <> Some 0)
 
+let test_checkpoint_copies_dirty_pages () =
+  (* A checkpoint after one served request copies the few pages the
+     request dirtied, not the two 1 MiB segments: it must allocate less
+     than a sixteenth of them. Words allocated = minor + major -
+     promoted, so a copy that is promoted is not counted twice. *)
+  let sys = build_deploy () in
+  let monitor = Nsystem.monitor sys in
+  ignore (expect_200 "first serve" (Nsystem.serve sys benign));
+  ignore (expect_200 "second serve" (Nsystem.serve sys benign));
+  ignore (Monitor.snapshot monitor : Monitor.snapshot);
+  ignore (expect_200 "docs serve" (Nsystem.serve sys (Http.get "/docs.html")));
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  ignore (Monitor.snapshot monitor : Monitor.snapshot);
+  let words = allocated () -. before in
+  let segment_bytes =
+    List.init (Monitor.variant_count monitor) (fun i ->
+        Memory.size (Monitor.loaded monitor i).Image.memory)
+    |> List.fold_left ( + ) 0
+  in
+  let bound = segment_bytes / (Sys.word_size / 8) / 16 in
+  if words >= float_of_int bound then
+    Alcotest.failf "checkpoint allocated %.0f words, bound %d" words bound
+
 (* ------------------------------------------------------------------ *)
 (* The supervisor                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -486,6 +513,8 @@ let () =
         [
           Alcotest.test_case "replay determinism" `Quick test_snapshot_replay;
           Alcotest.test_case "metrics monotonic" `Quick test_snapshot_preserves_metrics;
+          Alcotest.test_case "checkpoint copies dirty pages" `Quick
+            test_checkpoint_copies_dirty_pages;
         ] );
       ( "supervisor",
         [
