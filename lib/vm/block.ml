@@ -5,9 +5,14 @@
    control transfer (or at [Memory.max_block_slots] instructions, a tag
    change, a decode error, or the end of the segment). Each instruction
    is compiled once into a closure with its register indices and
-   operand shape burned in; executing the block is then an array walk
-   of closure calls with no per-instruction fetch, decode, tag check,
-   pc update, or retired update.
+   operand shape burned in; executing the block is then a chain of
+   closure calls with no per-instruction fetch, decode, tag check, pc
+   update, or retired update.
+
+   Every block exit links to its successor's compiled block, so a run
+   of blocks executes as one chain of tail calls that returns to the
+   dispatcher only at a trap, a store into the running block, or an
+   exit whose link is unset, stale or would overrun the fuel.
 
    The observable semantics must match the stepping interpreter
    bit-for-bit — the monitor's signal-delivery slicing and the trace
@@ -32,24 +37,32 @@ type status = {
   mutable st_pc : int;
   mutable st_retired : int;
   mutable st_trap : trap option;
-  mutable st_k : int;  (* executor scratch: index of the running instruction *)
-  (* Self-loop chaining state: a block whose branch terminator targets
-     its own entry re-enters its chain directly while another full
-     iteration fits in [st_budget] (the dispatcher's remaining fuel),
-     accumulating completed iterations in [st_base]. Terminators and
-     the exception handlers report [st_base + within-pass] retired, so
-     observable counts are identical to dispatching every iteration. *)
+  (* Where a raising instruction sits, for the chain's one handler in
+     [exec]: its in-block index, whether it is a stack access, and its
+     pc in [st_pc]. Only slow paths and div/mod write them. *)
+  mutable st_k : int;
+  mutable st_stack : bool;
+  (* Chaining state: [st_base] counts the instructions of the blocks
+     the chain has completed, and a link is followed only while its
+     block fits in [st_budget] (the dispatcher's remaining fuel), so
+     retired counts match dispatching every block. *)
   mutable st_base : int;
   mutable st_budget : int;
 }
 
 type compiled = {
+  c_pc : int;  (* the entry address *)
   c_tag : int;  (* the hoisted per-block tag; -1 for uncompilable entries *)
   c_len : int;  (* instructions in the block; 0 = uncompilable entry *)
   c_valid : bool ref;  (* shared with the segment's block registry *)
   c_regs : int array;  (* the register file the closures were compiled against *)
-  c_exec : status -> unit;
+  c_run : status -> unit;
 }
+
+(* What an exit's link holds until the exit first returns to the
+   dispatcher: it starts at no pc and is never valid. *)
+let unlinked =
+  { c_pc = -1; c_tag = -1; c_len = 0; c_valid = ref false; c_regs = [||]; c_run = ignore }
 
 (* Compiled blocks live in the segment's page directory, keyed by entry
    slot. The payload is the option [find] hands out, built once at
@@ -63,25 +76,33 @@ type cache = {
   scratch : status;
   mutable compiled_blocks : int;
   mutable hits : int;
-  (* Monomorphic last-dispatch memo: a loop body re-dispatching the
-     same block (the common steady state) skips the table lookup and
-     the tag/length checks, paying one pc compare and one validity
-     deref. *)
-  mutable last_pc : int;
-  mutable last : compiled option;
+  (* The link of the exit that last handed its pc back to the
+     dispatcher; the next [find] points it at the block it returns.
+     [idle] belongs to no exit, so nothing follows what it holds. *)
+  mutable pending : compiled ref;
+  idle : compiled ref;
 }
 
 let create mem regs ~expected_tag =
+  let idle = ref unlinked in
   {
     mem;
     regs;
     expected_tag;
     scratch =
-      { st_pc = 0; st_retired = 0; st_trap = None; st_k = 0; st_base = 0; st_budget = 0 };
+      {
+        st_pc = 0;
+        st_retired = 0;
+        st_trap = None;
+        st_k = 0;
+        st_stack = false;
+        st_base = 0;
+        st_budget = 0;
+      };
     compiled_blocks = 0;
     hits = 0;
-    last_pc = -1;
-    last = None;
+    pending = idle;
+    idle;
   }
 
 let scratch c = c.scratch
@@ -89,6 +110,8 @@ let scratch c = c.scratch
 let compiled_blocks c = c.compiled_blocks
 
 let hits c = c.hits
+
+let drop_pending c = c.pending <- c.idle
 
 (* Raised by a compiled store whose write just landed inside this very
    block. The executor bails out with the store retired; the dispatcher
@@ -105,9 +128,24 @@ let is_terminator = function
   | Isa.Binop _ | Isa.Setcc _ | Isa.Push _ | Isa.Pop _ ->
     false
 
-let is_stackish = function
-  | Isa.Push _ | Isa.Pop _ | Isa.Call _ | Isa.Callr _ | Isa.Ret -> true
-  | _ -> false
+(* Leave a block of [len] instructions for [pc] through its exit's
+   [link]: tail-call the linked successor when it starts at [pc], is
+   still valid and fits the fuel left; otherwise hand [pc] back to the
+   dispatcher, whose next [find] points [link] at the block it finds.
+   The [c_pc] test makes a computed exit's link a one-entry cache. *)
+let leave c st link ~len pc =
+  let done_ = st.st_base + len in
+  let next = !link in
+  if next.c_pc = pc && !(next.c_valid) && done_ + next.c_len <= st.st_budget then begin
+    st.st_base <- done_;
+    c.hits <- c.hits + 1;
+    next.c_run st
+  end
+  else begin
+    st.st_retired <- done_;
+    st.st_pc <- pc;
+    c.pending <- link
+  end
 
 (* Compile one instruction to a closure. Register indices come out of
    the decoder already validated to [0, 15], so the register file is
@@ -122,22 +160,29 @@ let sp_index = 13
    tail-calls [kont] (the rest of the block), so executing a block is
    a straight run of indirect jumps — no dispatch loop, no array walk,
    no per-instruction bookkeeping. Only instructions that can raise
-   (memory accesses, div/mod) record their index in [st_k] first, so
-   the exception handlers can reconstruct the interpreter's exact
-   state; pure register moves pay nothing. Terminators ignore [kont],
-   write the final pc/retired/trap and return. [len] is the full block
-   length (what a completed block retires). *)
-let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
+   record where they are: memory accesses on their out-of-range slow
+   path, div/mod just before dividing. The chain's one exception
+   handler reconstructs the interpreter's exact state from that; pure
+   register moves pay nothing.
+   Terminators ignore [kont] and leave the block through [leave] (or
+   trap). [len] is the full block length (what a completed block
+   retires). *)
+let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
   let sp = sp_index in
   (* Guest loads and stores are inlined over the backing bytes: the
      closure burns in [data]/[base]/[size] (all immutable for the
      segment's lifetime) and does its own range check; anything out of
      range takes the [Memory] slow path, which raises the exact fault
-     the interpreter would. [st_k] is only written on those slow
-     paths — the in-range fast path cannot raise. *)
+     the interpreter would. Only those slow paths call [here] — the
+     in-range fast path cannot raise. *)
   let data = Memory.bytes mem in
   let mbase = Memory.base mem in
   let msize = Memory.size mem in
+  let here st ~stack =
+    st.st_k <- k;
+    st.st_pc <- at;
+    st.st_stack <- stack
+  in
   match instr with
   | Isa.Nop -> kont (* retires with the block; position [k] needs no code at all *)
   | Isa.Halt ->
@@ -160,7 +205,7 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
       if o >= 0 && o + 4 <= msize then
         Array.unsafe_set regs rd (Int32.to_int (Bytes.get_int32_le data o) land 0xFFFFFFFF)
       else begin
-        st.st_k <- k;
+        here st ~stack:false;
         Array.unsafe_set regs rd (Memory.load_word mem addr)
       end;
       kont st
@@ -173,12 +218,12 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
         Memory.invalidate_window mem o 4
       end
       else begin
-        st.st_k <- k;
+        here st ~stack:false;
         Memory.store_word mem addr (Array.unsafe_get regs rs)
       end;
       if !valid then kont st
       else begin
-        st.st_k <- k;
+        here st ~stack:false;
         raise_notrace Invalidated
       end
   | Isa.Loadb (rd, rs, off) ->
@@ -188,7 +233,7 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
       if o >= 0 && o < msize then
         Array.unsafe_set regs rd (Char.code (Bytes.unsafe_get data o))
       else begin
-        st.st_k <- k;
+        here st ~stack:false;
         Array.unsafe_set regs rd (Memory.load_byte mem addr)
       end;
       kont st
@@ -201,12 +246,12 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
         Memory.invalidate_window mem o 1
       end
       else begin
-        st.st_k <- k;
+        here st ~stack:false;
         Memory.store_byte mem addr (Array.unsafe_get regs rs)
       end;
       if !valid then kont st
       else begin
-        st.st_k <- k;
+        here st ~stack:false;
         raise_notrace Invalidated
       end
   | Isa.Binop (op, rd, rs, o) -> (
@@ -241,23 +286,23 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
         kont st
     | Isa.Div, Isa.Imm w ->
       fun st ->
-        st.st_k <- k;
+        here st ~stack:false;
         Array.unsafe_set regs rd (W.div_signed (Array.unsafe_get regs rs) w);
         kont st
     | Isa.Div, Isa.Reg rt ->
       fun st ->
-        st.st_k <- k;
+        here st ~stack:false;
         Array.unsafe_set regs rd
           (W.div_signed (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
         kont st
     | Isa.Mod, Isa.Imm w ->
       fun st ->
-        st.st_k <- k;
+        here st ~stack:false;
         Array.unsafe_set regs rd (W.rem_signed (Array.unsafe_get regs rs) w);
         kont st
     | Isa.Mod, Isa.Reg rt ->
       fun st ->
-        st.st_k <- k;
+        here st ~stack:false;
         Array.unsafe_set regs rd
           (W.rem_signed (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
         kont st
@@ -327,34 +372,11 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
   | Isa.Br (cond, rs, rt, target) -> (
     (* The block's hottest terminator (every loop backedge): the
        condition is specialized at compile time so taking the branch
-       costs two register loads and a compare. When the branch targets
-       this block's own entry — a self-contained loop body, the hottest
-       shape there is — taking it re-enters the chain head directly
-       while another full iteration fits in the fuel budget, so steady-
-       state loop iterations never touch the dispatcher at all. *)
+       costs two register loads and a compare, and each side leaves
+       through its own link. *)
     let module W = Word in
-    let take =
-      if target = entry then fun st t ->
-        if t then begin
-          let done_ = st.st_base + len in
-          if done_ + len <= st.st_budget then begin
-            st.st_base <- done_;
-            c.hits <- c.hits + 1;
-            !head st
-          end
-          else begin
-            st.st_retired <- done_;
-            st.st_pc <- target
-          end
-        end
-        else begin
-          st.st_retired <- st.st_base + len;
-          st.st_pc <- next
-        end
-      else fun st t ->
-        st.st_retired <- st.st_base + len;
-        st.st_pc <- (if t then target else next)
-    in
+    let taken = ref unlinked and fall = ref unlinked in
+    let take st t = if t then leave c st taken ~len target else leave c st fall ~len next in
     match cond with
     | Isa.Eq -> fun st -> take st (Array.unsafe_get regs rs = Array.unsafe_get regs rt)
     | Isa.Ne -> fun st -> take st (Array.unsafe_get regs rs <> Array.unsafe_get regs rt)
@@ -377,15 +399,13 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
     | Isa.Geu ->
       fun st -> take st (Array.unsafe_get regs rs >= Array.unsafe_get regs rt))
   | Isa.Jmp target ->
-    fun st ->
-      st.st_retired <- st.st_base + len;
-      st.st_pc <- target
+    let link = ref unlinked in
+    fun st -> leave c st link ~len target
   | Isa.Jmpr rs ->
-    fun st ->
-      st.st_retired <- st.st_base + len;
-      st.st_pc <- Array.unsafe_get regs rs
+    let link = ref unlinked in
+    fun st -> leave c st link ~len (Array.unsafe_get regs rs)
   | Isa.Call target ->
-    let rnext = Word.mask next in
+    let rnext = Word.mask next and link = ref unlinked in
     fun st ->
       let nsp = Word.sub (Array.unsafe_get regs sp) 4 in
       let o = nsp - mbase in
@@ -394,14 +414,13 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
         Memory.invalidate_window mem o 4
       end
       else begin
-        st.st_k <- k;
+        here st ~stack:true;
         Memory.store_word mem nsp rnext
       end;
       Array.unsafe_set regs sp nsp;
-      st.st_retired <- st.st_base + len;
-      st.st_pc <- target
+      leave c st link ~len target
   | Isa.Callr rs ->
-    let rnext = Word.mask next in
+    let rnext = Word.mask next and link = ref unlinked in
     fun st ->
       let nsp = Word.sub (Array.unsafe_get regs sp) 4 in
       let o = nsp - mbase in
@@ -410,15 +429,15 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
         Memory.invalidate_window mem o 4
       end
       else begin
-        st.st_k <- k;
+        here st ~stack:true;
         Memory.store_word mem nsp rnext
       end;
       Array.unsafe_set regs sp nsp;
-      st.st_retired <- st.st_base + len;
       (* Read the target after the sp update, as the interpreter does:
          [callr r13] must jump to the new stack pointer. *)
-      st.st_pc <- Array.unsafe_get regs rs
+      leave c st link ~len (Array.unsafe_get regs rs)
   | Isa.Ret ->
+    let link = ref unlinked in
     fun st ->
       let osp = Array.unsafe_get regs sp in
       let o = osp - mbase in
@@ -426,13 +445,12 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
         if o >= 0 && o + 4 <= msize then
           Int32.to_int (Bytes.get_int32_le data o) land 0xFFFFFFFF
         else begin
-          st.st_k <- k;
+          here st ~stack:true;
           Memory.load_word mem osp
         end
       in
       Array.unsafe_set regs sp (Word.add osp 4);
-      st.st_retired <- st.st_base + len;
-      st.st_pc <- target
+      leave c st link ~len target
   | Isa.Push rs ->
     fun st ->
       let nsp = Word.sub (Array.unsafe_get regs sp) 4 in
@@ -442,13 +460,13 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
         Memory.invalidate_window mem o 4
       end
       else begin
-        st.st_k <- k;
+        here st ~stack:true;
         Memory.store_word mem nsp (Array.unsafe_get regs rs)
       end;
       Array.unsafe_set regs sp nsp;
       if !valid then kont st
       else begin
-        st.st_k <- k;
+        here st ~stack:true;
         raise_notrace Invalidated
       end
   | Isa.Pop rd ->
@@ -458,7 +476,7 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~entry ~head ~kont =
       if o >= 0 && o + 4 <= msize then
         Array.unsafe_set regs rd (Int32.to_int (Bytes.get_int32_le data o) land 0xFFFFFFFF)
       else begin
-        st.st_k <- k;
+        here st ~stack:true;
         Array.unsafe_set regs rd (Memory.load_word mem osp)
       end;
       (* After the destination write, as the interpreter does: [pop r13]
@@ -491,15 +509,6 @@ let discover mem ~entry_off =
   in
   go [] 0 0
 
-let uncompilable c valid =
-  {
-    c_tag = -1;
-    c_len = 0;
-    c_valid = valid;
-    c_regs = c.regs;
-    c_exec = (fun _ -> assert false);
-  }
-
 (* Register [cb] over its span and return the stored option. *)
 let register c ~slot ~slots cb =
   let r = Some cb in
@@ -513,105 +522,90 @@ let compile c ~slot =
   match discover c.mem ~entry_off with
   | [] ->
     (* Nothing decodes at the entry; register a one-slot span anyway so
-       a store that rewrites these bytes forces a recompile. *)
-    register c ~slot ~slots:1 (uncompilable c valid)
+       a store that rewrites these bytes forces a recompile. [find]
+       never returns a block of length 0. *)
+    register c ~slot ~slots:1 { unlinked with c_valid = valid; c_regs = c.regs }
   | (c_tag, _) :: _ as instrs ->
     let len = List.length instrs in
-    let stackish = Array.make len false in
-    List.iteri (fun k (_, instr) -> stackish.(k) <- is_stackish instr) instrs;
-    let fallthrough = entry_addr + (len * Isa.instr_size) in
     (* A block that ran off its end without a terminator (cap, tag
-       change, decode error ahead) falls through to the dispatcher. *)
-    let fin st =
-      st.st_retired <- st.st_base + len;
-      st.st_pc <- fallthrough
+       change, decode error ahead) leaves for the slot after it. *)
+    let fin =
+      let link = ref unlinked and fallthrough = entry_addr + (len * Isa.instr_size) in
+      fun st -> leave c st link ~len fallthrough
     in
     (* Build the chain back to front so each op captures its
-       continuation directly. [head] ties the knot for a self-looping
-       terminator: it re-enters the chain from the top without going
-       back through the dispatcher. *)
-    let head = ref (fun (_ : status) -> assert false) in
+       continuation directly. *)
     let rec build k = function
       | [] -> fin
       | (_, instr) :: rest ->
         let kont = build (k + 1) rest in
         let at = entry_addr + (k * Isa.instr_size) in
         compile_instr c c.regs c.mem valid instr ~k ~len ~at ~next:(at + Isa.instr_size)
-          ~entry:entry_addr ~head ~kont
-    in
-    let chain = build 0 instrs in
-    head := chain;
-    let exec st =
-      st.st_trap <- None;
-      st.st_base <- 0;
-      try chain st with
-      | Memory.Fault { addr; access } ->
-        (* The faulting instruction retires nothing and the pc parks on
-           it, exactly as [Cpu.step] leaves things. *)
-        let k = st.st_k in
-        st.st_retired <- st.st_base + k;
-        st.st_pc <- entry_addr + (k * Isa.instr_size);
-        st.st_trap <-
-          Some
-            (Fault_trap
-               (if Array.unsafe_get stackish k then Stack_fault { addr }
-                else Segfault { addr; access }))
-      | Division_by_zero ->
-        let k = st.st_k in
-        let at = entry_addr + (k * Isa.instr_size) in
-        st.st_retired <- st.st_base + k;
-        st.st_pc <- at;
-        st.st_trap <- Some (Fault_trap (Division_fault { addr = at }))
-      | Invalidated ->
-        (* The store itself retired normally; resume after it through
-           the dispatcher so rewritten bytes are freshly decoded. *)
-        st.st_retired <- st.st_base + st.st_k + 1;
-        st.st_pc <- entry_addr + ((st.st_k + 1) * Isa.instr_size)
+          ~kont
     in
     c.compiled_blocks <- c.compiled_blocks + 1;
     register c ~slot ~slots:len
-      { c_tag; c_len = len; c_valid = valid; c_regs = c.regs; c_exec = exec }
+      {
+        c_pc = entry_addr;
+        c_tag;
+        c_len = len;
+        c_valid = valid;
+        c_regs = c.regs;
+        c_run = build 0 instrs;
+      }
 
-let length cb = cb.c_len
-
-let exec cb st = cb.c_exec st
+(* One exception handler covers the whole chain: the instruction that
+   raised recorded its index, pc and kind before raising. *)
+let exec cb st =
+  st.st_trap <- None;
+  st.st_base <- 0;
+  try cb.c_run st with
+  | Memory.Fault { addr; access } ->
+    (* The faulting instruction retires nothing and the pc parks on it,
+       exactly as [Cpu.step] leaves things. *)
+    let fault = if st.st_stack then Stack_fault { addr } else Segfault { addr; access } in
+    st.st_retired <- st.st_base + st.st_k;
+    st.st_trap <- Some (Fault_trap fault)
+  | Division_by_zero ->
+    st.st_retired <- st.st_base + st.st_k;
+    st.st_trap <- Some (Fault_trap (Division_fault { addr = st.st_pc }))
+  | Invalidated ->
+    (* The store itself retired normally; resume after it through the
+       dispatcher so rewritten bytes are freshly decoded. *)
+    st.st_retired <- st.st_base + st.st_k + 1;
+    st.st_pc <- st.st_pc + Isa.instr_size
 
 (* Dispatch: return a block runnable from [pc] within [remaining] fuel,
-   compiling on a miss. [None] sends the caller to the stepping
-   interpreter for one instruction — unaligned or out-of-range pcs,
-   undecodable entries, hoisted-tag mismatches (the single step raises
-   the precise [Bad_tag]/[Bad_instruction]/fault), and blocks longer
-   than the remaining fuel (the monitor's signal slicing counts on
-   [run] never overrunning its fuel). *)
+   compiling on a miss, and point the pending exit's link at it. [None]
+   sends the caller to the stepping interpreter for one instruction —
+   unaligned or out-of-range pcs, undecodable entries, hoisted-tag
+   mismatches (the single step raises the precise
+   [Bad_tag]/[Bad_instruction]/fault), and blocks longer than the
+   remaining fuel (the monitor's signal slicing counts on [run] never
+   overrunning its fuel). *)
 let find c ~pc ~remaining =
-  match c.last with
-  | Some cb when c.last_pc = pc && !(cb.c_valid) && cb.c_len <= remaining ->
-    (* Steady-state loop body: same entry as last dispatch, block still
-       valid (tag and alignment were checked when the memo was set). *)
-    c.hits <- c.hits + 1;
-    c.last
-  | _ ->
-    let off = pc - Memory.base c.mem in
-    if
-      off < 0
-      || off + Isa.instr_size > Memory.size c.mem
-      || off land (Isa.instr_size - 1) <> 0
-    then None
-    else begin
-      let slot = off lsr 3 in
-      (* The registry drops an entry the moment it is invalidated, so
-         anything found is live; it is ours unless another CPU on the
-         same segment compiled it against its own registers. *)
-      let cached, r =
-        match Memory.block_at c.mem ~slot with
-        | Compiled (Some cb as r) when cb.c_regs == c.regs -> (true, r)
-        | _ -> (false, compile c ~slot)
-      in
-      match r with
-      | Some cb when cb.c_len > 0 && cb.c_tag = c.expected_tag && cb.c_len <= remaining ->
-        if cached then c.hits <- c.hits + 1;
-        c.last_pc <- pc;
-        c.last <- r;
-        r
-      | _ -> None
-    end
+  let link = c.pending in
+  c.pending <- c.idle;
+  let off = pc - Memory.base c.mem in
+  if
+    off < 0
+    || off + Isa.instr_size > Memory.size c.mem
+    || off land (Isa.instr_size - 1) <> 0
+  then None
+  else begin
+    let slot = off lsr 3 in
+    (* The registry drops an entry the moment it is invalidated, so
+       anything found is live; it is ours unless another CPU on the
+       same segment compiled it against its own registers. *)
+    let cached, r =
+      match Memory.block_at c.mem ~slot with
+      | Compiled (Some cb as r) when cb.c_regs == c.regs -> (true, r)
+      | _ -> (false, compile c ~slot)
+    in
+    match r with
+    | Some cb when cb.c_len > 0 && cb.c_tag = c.expected_tag && cb.c_len <= remaining ->
+      if cached then c.hits <- c.hits + 1;
+      link := cb;
+      r
+    | _ -> None
+  end

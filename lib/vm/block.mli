@@ -14,6 +14,17 @@
     store issued from inside the very block it rewrites, before the
     next instruction of the in-flight execution).
 
+    Every block exit links to its successor's compiled block: both sides
+    of a branch, the targets of [jmp] and [call], and the fall-through
+    of a block capped before its terminator. [ret], [jmpr] and [callr]
+    keep a one-entry cache of the block they last reached. An exit
+    tail-calls the linked block when it starts at the exit's target pc,
+    is still valid and fits the fuel left, so a run of blocks executes
+    as one chain. The chain returns to the dispatcher at a trap, at an
+    invalidating store into the running block, or at an exit whose link
+    fails one of those tests; the dispatcher's next {!find} then points
+    that link at the block it finds.
+
     Observable semantics are bit-identical to the stepping
     interpreter: retired counts advance per instruction, faults leave
     registers and pc exactly as {!Cpu.step} would, and a block is only
@@ -33,22 +44,22 @@ type fault =
 type trap = Syscall_trap | Halt_trap | Fault_trap of fault
 
 type status = {
-  mutable st_pc : int;  (** pc after the (partial) block execution *)
+  mutable st_pc : int;  (** pc after the (partial) chain execution *)
   mutable st_retired : int;  (** instructions retired by this execution *)
   mutable st_trap : trap option;
   mutable st_k : int;  (** executor scratch; meaningless between runs *)
-  mutable st_base : int;  (** executor scratch: completed self-loop iterations *)
+  mutable st_stack : bool;  (** executor scratch; meaningless between runs *)
+  mutable st_base : int;  (** executor scratch: instructions of completed blocks *)
   mutable st_budget : int;
       (** set by the dispatcher before {!exec}: total fuel available,
-          bounding how many times a self-looping block may re-enter
-          itself without returning *)
+          bounding how many blocks the chain may run without returning *)
 }
 (** Reusable scratch cell the executor reports into, so the hot path
     allocates nothing per block. *)
 
 type compiled
-(** A compiled block: hoisted tag, length, shared validity cell, and
-    the executor closure. *)
+(** A compiled block: entry pc, hoisted tag, length, shared validity
+    cell, and the executor closure, whose exits hold the links. *)
 
 type cache
 (** Per-CPU block dispatcher over one segment. The closures capture the
@@ -63,27 +74,32 @@ val scratch : cache -> status
 
 val find : cache -> pc:int -> remaining:int -> compiled option
 (** Return a block runnable from [pc] within [remaining] fuel,
-    compiling (and registering) it on a miss. [None] means the caller
-    must fall back to single-stepping: unaligned or out-of-range pc,
-    undecodable entry, a hoisted tag that differs from the CPU's
-    expected tag (the step raises the precise fault), or a block
-    longer than [remaining]. A returned block is the option stored at
-    compile time, so dispatch allocates nothing. *)
+    compiling (and registering) it on a miss, and fill the pending
+    link: the exit whose chain last returned to the dispatcher now
+    links to the returned block. Every call clears the pending link.
+    [None] means the caller must fall back to single-stepping:
+    unaligned or out-of-range pc, undecodable entry, a hoisted tag that
+    differs from the CPU's expected tag (the step raises the precise
+    fault), or a block longer than [remaining]. A returned block is the
+    option stored at compile time, so dispatch allocates nothing. *)
+
+val drop_pending : cache -> unit
+(** Clear the pending link, so the next {!find} links no exit. The
+    dispatcher calls it on entry: since the last chain returned, a
+    restore, a signal handler or a retried syscall may have moved the
+    pc. *)
 
 val exec : compiled -> status -> unit
-(** Run the block, filling the status cell with the resulting pc,
-    retired count, and trap (if any). Never raises. The caller must
-    set [st_budget] to the remaining fuel first: a block whose branch
-    terminator targets its own entry loops inside the chain while full
-    iterations fit in the budget, reporting the accumulated retired
-    count. *)
-
-val length : compiled -> int
-(** Number of instructions in the block. *)
+(** Run the block and the chain its links lead to, filling the status
+    cell with the resulting pc, retired count (over the whole chain),
+    and trap (if any). One exception handler covers the whole chain.
+    Never raises. The caller must set [st_budget] to the remaining fuel
+    first: a link is followed only while its block fits in it. *)
 
 val compiled_blocks : cache -> int
 (** Compilations performed (recompilations after invalidation
     included). *)
 
 val hits : cache -> int
-(** Dispatches served by an already-compiled, still-valid block. *)
+(** Dispatches served by an already-compiled, still-valid block, plus
+    links followed. *)

@@ -187,16 +187,18 @@ let block_cache t =
     t.blocks <- Some c;
     c
 
-(* Block-engine run loop: execute whole compiled blocks when one is
-   dispatchable from the current pc within the remaining fuel, and
+(* Block-engine run loop: execute a chain of compiled blocks when one
+   is dispatchable from the current pc within the remaining fuel, and
    fall back to the stepping interpreter for exactly one instruction
    otherwise (unaligned pc, undecodable or wrong-tag entry — the step
    raises the precise fault — or a block longer than the fuel left, so
    a sliced [run ~fuel] retires exactly [fuel] instructions before
-   reporting [Out_of_fuel]). *)
+   reporting [Out_of_fuel]). The pc may have moved since the last
+   chain returned here, so no exit is pending on entry. *)
 let run_blocks t ~fuel =
   let cache = block_cache t in
   let st = Block.scratch cache in
+  Block.drop_pending cache;
   let rec loop remaining =
     if remaining <= 0 then Out_of_fuel
     else begin

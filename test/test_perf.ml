@@ -20,9 +20,14 @@
    - Page-directory tests: a block straddling a 4 KiB page boundary is
      invalidated by a one-byte store into either page, wrong-tag code
      in a segment's last page faults, a restore that rewrites a code
-     page retires the block the dispatcher last ran, a restore that
-     rewrites only data pages keeps the compiled blocks, and the served
-     config4 deployment keeps its decoded state within a few pages.
+     page retires the blocks compiled from it, a restore that rewrites
+     only data pages keeps the compiled blocks, and the served config4
+     deployment keeps its decoded state within a few pages.
+   - Chained-block tests check each guard on a block exit's link: a
+     link into a block that a host store or a restore retired is not
+     followed, a warmed chain stops at every fuel budget exactly where
+     the reference engine does, and a warmed chained run allocates
+     nothing.
    - qcheck properties pin the block registry's invalidation contract
      (a store intersecting a registered span flips its validity cell),
      the sliced-run equivalence, and incremental checkpoints against a
@@ -386,10 +391,9 @@ let test_last_page_wrong_tag_faults () =
   | o -> Alcotest.failf "expected Bad_tag, got %s" (outcome_to_string o)
 
 (* Checkpoint a one-block program, patch it from the host and run the
-   patched block (it is now the dispatcher's last-block memo), then roll
-   back: the re-run must execute the checkpointed bytes, so [restore]
-   has to retire the block the memo still points at, not just drop the
-   pages holding it. *)
+   patched block, then roll back: the re-run must execute the
+   checkpointed bytes, so [restore] has to retire the compiled patched
+   block, not just drop the pages holding it. *)
 let test_restore_retires_compiled_blocks () =
   let loaded = load_source ~engine:Memory.Block "mov r1, #1\nhalt" in
   let { Image.cpu; memory; layout } = loaded in
@@ -456,6 +460,125 @@ let test_served_footprint_pages () =
       let pages = Memory.decoded_pages (Nv_core.Monitor.loaded monitor i).Image.memory in
       if pages > 6 then Alcotest.failf "variant %d: decoded state spans %d pages" i pages
     done
+
+(* ------------------------------------------------------------------ *)
+(* Chained blocks: the guards on every link                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One loop whose iterations link every exit: the entry block ends
+   [jmp body], and [body]'s branch leads back to [loop] or falls through
+   to [halt]. The 512 [nop]s never run; they put [body] on page 1, with
+   the loop on page 0, so a store or a rollback can retire [body] while
+   the page-0 blocks keep their links to it. With [~calls], each
+   iteration also makes a [call]/[ret] round trip through [bump]. *)
+let chain_source ?(calls = false) ~iterations () =
+  let call = if calls then "call bump" else "" in
+  let padding = String.concat "\n" (List.init 512 (fun _ -> "nop")) in
+  Printf.sprintf
+    {|
+      mov r1, #0
+      mov r2, #%d
+      mov r5, #0
+      jmp body
+    loop:
+      add r1, r1, #1
+      %s
+      jmp body
+    bump:
+      add r6, r6, #1
+      ret
+      %s
+    body:
+      mov r3, #1
+      add r5, r5, r3
+      brlt r1, r2, loop
+      halt
+    |}
+    iterations call padding
+
+(* Run from the entry to the halt and return r5, the sum [body] keeps. *)
+let run_chain { Image.cpu; layout; _ } =
+  Cpu.set_pc cpu layout.Image.code_start;
+  match Cpu.run cpu ~fuel:1000 with
+  | Cpu.Trapped Cpu.Halt_trap -> Cpu.reg cpu 5
+  | o -> Alcotest.failf "expected halt, got %s" (outcome_to_string o)
+
+(* Make [body] add 2 per iteration instead of 1. *)
+let patch_body loaded =
+  Memory.store_bytes loaded.Image.memory
+    ~addr:(Image.abs_symbol loaded "body")
+    (Isa.encode ~tag:0 (Isa.Mov (3, Isa.Imm 2)))
+
+(* The page-0 blocks link to the [body] block a host store retires: the
+   re-run must not follow those links into it. *)
+let test_chain_patched_successor () =
+  List.iter
+    (fun engine ->
+      let loaded = load_source ~engine (chain_source ~iterations:3 ()) in
+      Alcotest.(check int) "original body" 4 (run_chain loaded);
+      patch_body loaded;
+      Alcotest.(check int) "patched body" 8 (run_chain loaded))
+    all_engines
+
+(* The same through [Memory.restore]: the rollback rewrites page 1 only,
+   so page 0 keeps its blocks and their links to the patched [body]
+   block the restore retired. *)
+let test_chain_links_across_restore () =
+  List.iter
+    (fun engine ->
+      let loaded = load_source ~engine (chain_source ~iterations:3 ()) in
+      let memory = loaded.Image.memory in
+      let snap = Memory.snapshot memory in
+      patch_body loaded;
+      Alcotest.(check int) "patched body" 8 (run_chain loaded);
+      Memory.restore memory snap;
+      if engine = Memory.Block then
+        Alcotest.(check int) "page 0 keeps its blocks" 1 (Memory.decoded_pages memory);
+      Alcotest.(check int) "checkpointed body" 4 (run_chain loaded))
+    all_engines
+
+(* With every link warmed, a run of any fuel must stop where the
+   reference engine stops: a link is followed only when its block fits
+   in the fuel left. *)
+let test_chain_every_fuel_budget () =
+  let source = chain_source ~iterations:3 () in
+  let block = load_source ~engine:Memory.Block source in
+  let reference = load_source ~engine:Memory.Reference source in
+  let bl = block.Image.cpu and rf = reference.Image.cpu in
+  let bl_start = Cpu.snapshot bl and rf_start = Cpu.snapshot rf in
+  Alcotest.(check int) "block run" 4 (run_chain block);
+  Alcotest.(check int) "reference run" 4 (run_chain reference);
+  let retired = Cpu.instructions_retired in
+  for fuel = 1 to retired rf do
+    Cpu.restore bl bl_start;
+    Cpu.restore rf rf_start;
+    let bo = Cpu.run bl ~fuel and ro = Cpu.run rf ~fuel in
+    let at what = Printf.sprintf "fuel %d: %s" fuel what in
+    Alcotest.(check string) (at "outcome") (outcome_to_string ro) (outcome_to_string bo);
+    Alcotest.(check int) (at "retired") (retired rf) (retired bl);
+    Alcotest.(check int) (at "pc") (Cpu.pc rf) (Cpu.pc bl)
+  done
+
+(* Dispatch and link bookkeeping allocate nothing: a warmed run of about
+   400k block entries allocates only its [Trapped] result and the
+   [Gc.minor_words] boxes. *)
+let test_chain_allocates_nothing () =
+  let loaded =
+    load_source ~engine:Memory.Block (chain_source ~calls:true ~iterations:100_000 ())
+  in
+  let cpu = loaded.Image.cpu in
+  let start = Cpu.snapshot cpu in
+  let run () =
+    Cpu.restore cpu start;
+    Cpu.run cpu ~fuel:1_000_000
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let outcome = run () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check string) "outcome" "halt" (outcome_to_string outcome);
+  Alcotest.(check int) "retired" 800_008 (Cpu.instructions_retired cpu);
+  if words > 16. then Alcotest.failf "a warmed chained run allocated %.0f words" words
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties: block-registry invalidation and run equivalence  *)
@@ -808,6 +931,15 @@ let () =
           Alcotest.test_case "served config4 footprint" `Quick test_served_footprint_pages;
           Alcotest.test_case "blocks survive a data-only rollback" `Quick
             test_blocks_survive_data_rollback;
+        ] );
+      ( "chained blocks",
+        [
+          Alcotest.test_case "patched successor" `Quick test_chain_patched_successor;
+          Alcotest.test_case "links across a restore" `Quick
+            test_chain_links_across_restore;
+          Alcotest.test_case "every fuel budget" `Quick test_chain_every_fuel_budget;
+          Alcotest.test_case "warmed chained run allocates nothing" `Quick
+            test_chain_allocates_nothing;
         ] );
       ( "self-modifying code",
         [
