@@ -645,10 +645,10 @@ let report_bench ?(path = "BENCH_results.json") () =
 
 (* Unlike every other report, hostperf measures the *host* cost of
    running the guest: wall-clock guest-MIPS of the two execution
-   tiers — the reference decoder and the basic-block compiler — plus a
-   [Cpu.step] loop over the decode cache (the stepping interpreter the
-   block engine falls back to), on a pure interpreter microbench. The
-   served rate of the monitored server is perfbench's [vm.guest_mips]. *)
+   tiers — the basic-block compiler and the reference engine, which is
+   the stepping interpreter the block engine falls back to — on a pure
+   interpreter microbench. The served rate of the monitored server is
+   perfbench's [vm.guest_mips]. *)
 
 let hostperf_loop_iters = 150_000
 
@@ -688,18 +688,10 @@ let hostperf_program =
 
 let mips instructions seconds = float_of_int instructions /. max seconds 1e-9 /. 1e6
 
-(* Step the CPU one instruction at a time until it halts. *)
-let rec step_to_halt cpu =
-  match Nv_vm.Cpu.step cpu with
-  | None -> step_to_halt cpu
-  | Some Nv_vm.Cpu.Halt_trap -> ()
-  | Some _ -> failwith "hostperf: interpreter microbench did not halt"
-
-(* Best of [reps] runs, to shed warm-up and scheduler noise. [stepping]
-   drives [Cpu.step] instead of [Cpu.run]. Also returns the block
-   engine's (compiled, hits, invalidations) counters from the last run —
-   all zero unless [Cpu.run] used the block engine. *)
-let interp_hostperf ?(stepping = false) ~engine ~reps () =
+(* Best of [reps] runs, to shed warm-up and scheduler noise. Also
+   returns the block engine's (compiled, hits, invalidations) counters
+   from the last run — all zero under the reference engine. *)
+let interp_hostperf ~engine ~reps () =
   let image = Nv_vm.Asm.assemble hostperf_program in
   let instructions = ref 0 in
   let best = ref 0. in
@@ -709,11 +701,9 @@ let interp_hostperf ?(stepping = false) ~engine ~reps () =
     let cpu = loaded.Nv_vm.Image.cpu in
     Nv_vm.Memory.set_engine loaded.Nv_vm.Image.memory engine;
     let t0 = Unix.gettimeofday () in
-    (if stepping then step_to_halt cpu
-     else
-       match Nv_vm.Cpu.run cpu ~fuel:10_000_000 with
-       | Nv_vm.Cpu.Trapped Nv_vm.Cpu.Halt_trap -> ()
-       | _ -> failwith "hostperf: interpreter microbench did not halt");
+    (match Nv_vm.Cpu.run cpu ~fuel:10_000_000 with
+    | Nv_vm.Cpu.Trapped Nv_vm.Cpu.Halt_trap -> ()
+    | _ -> failwith "hostperf: interpreter microbench did not halt");
     let dt = Unix.gettimeofday () -. t0 in
     instructions := Nv_vm.Cpu.instructions_retired cpu;
     stats := Nv_vm.Cpu.block_stats cpu;
@@ -726,41 +716,36 @@ let report_hostperf ?(path = "BENCH_results.json") () =
   let interp_instr, interp_ref, _ =
     interp_hostperf ~engine:Nv_vm.Memory.Reference ~reps:3 ()
   in
-  let step_instr, interp_step, _ =
-    interp_hostperf ~stepping:true ~engine:Nv_vm.Memory.Block ~reps:3 ()
-  in
   let block_instr, interp_block, (block_compiled, block_hits, block_invalidations) =
     interp_hostperf ~engine:Nv_vm.Memory.Block ~reps:3 ()
   in
-  (* Every tier must retire the identical instruction stream; a drift
+  (* Both tiers must retire the identical instruction stream; a drift
      here means the block engine changed observable semantics. *)
-  if block_instr <> interp_instr || step_instr <> interp_instr then
+  if block_instr <> interp_instr then
     failwith
       (Printf.sprintf
-         "hostperf: engines disagree on retired instructions (%d reference, %d step, %d \
-          block)"
-         interp_instr step_instr block_instr);
+         "hostperf: engines disagree on retired instructions (%d reference, %d block)"
+         interp_instr block_instr);
   let interp_speedup = interp_block /. interp_ref in
-  let block_vs_step = interp_block /. interp_step in
   Nv_util.Tablefmt.print
     ~header:
       [
-        "configuration"; "guest instructions"; "reference MIPS"; "step MIPS";
-        "block MIPS"; "block vs reference";
+        "configuration"; "guest instructions"; "reference MIPS"; "block MIPS";
+        "block vs reference";
       ]
     ~rows:
       [
         [
           "interpreter microbench"; string_of_int interp_instr;
-          Printf.sprintf "%.2f" interp_ref; Printf.sprintf "%.2f" interp_step;
-          Printf.sprintf "%.2f" interp_block; Printf.sprintf "%.2fx" interp_speedup;
+          Printf.sprintf "%.2f" interp_ref; Printf.sprintf "%.2f" interp_block;
+          Printf.sprintf "%.2fx" interp_speedup;
         ];
       ]
     ();
   Printf.printf
-    "block engine vs. Cpu.step loop: %.2fx on the microbench (target > 1x); %d blocks \
-     compiled, %d cache hits, %d invalidations\n"
-    block_vs_step block_compiled block_hits block_invalidations;
+    "block engine vs. its stepping fallback (the reference engine): %.2fx on the \
+     microbench (target > 1x); %d blocks compiled, %d cache hits, %d invalidations\n"
+    interp_speedup block_compiled block_hits block_invalidations;
   update_json_obj path
     [
       ( "hostperf",
@@ -779,9 +764,7 @@ let report_hostperf ?(path = "BENCH_results.json") () =
                 [
                   ("instructions", Json.Num (float_of_int block_instr));
                   ("mips", Json.Num interp_block);
-                  ("step_mips", Json.Num interp_step);
                   ("reference_mips", Json.Num interp_ref);
-                  ("speedup_vs_step", Json.Num block_vs_step);
                   ("speedup_vs_reference", Json.Num interp_speedup);
                   ("compiled_blocks", Json.Num (float_of_int block_compiled));
                   ("block_hits", Json.Num (float_of_int block_hits));

@@ -89,8 +89,9 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution tier for every variant: $(b,block) (basic-block \
-           superinstruction compiler over a decode cache) or $(b,reference) \
-           (byte-at-a-time decoder, the differential oracle). Both are \
+           superinstruction compiler, single-stepping where no block is \
+           dispatchable) or $(b,reference) (that single-stepping interpreter \
+           alone, the differential oracle). Both are \
            observationally identical — same outcomes, alarms and instruction \
            counts — so pinning a tier is for differential debugging and \
            performance comparison. Defaults to the $(b,NV_ENGINE) environment \

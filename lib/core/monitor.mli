@@ -220,10 +220,9 @@ val restore : t -> snapshot -> int
     number of live connections dropped. Any pending signal is
     discarded and the latency baseline re-anchored. Each variant's
     memory restore rewrites only the pages that differ from the
-    snapshot ({!Nv_vm.Memory.restore}): compiled blocks and decoded
-    pages are dropped there, to be rebuilt as the restored code runs,
-    and kept everywhere else. A snapshot may be restored any number of
-    times. *)
+    snapshot ({!Nv_vm.Memory.restore}): compiled blocks are dropped
+    there, to be rebuilt as the restored code runs, and kept everywhere
+    else. A snapshot may be restored any number of times. *)
 
 val set_input_fault : t -> (variant:int -> string -> string) option -> unit
 (** Install (or clear) a fault-injection hook on replicated input:

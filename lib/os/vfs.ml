@@ -119,16 +119,17 @@ let remove t path =
 
 type access = Read_access | Write_access
 
-let permits attrs (cred : Cred.t) access =
-  if Cred.is_root cred then true
-  else begin
-    let bits =
-      if cred.Cred.euid = attrs.owner then (attrs.mode lsr 6) land 7
-      else if cred.Cred.egid = attrs.group then (attrs.mode lsr 3) land 7
-      else attrs.mode land 7
-    in
-    match access with Read_access -> bits land 4 <> 0 | Write_access -> bits land 2 <> 0
-  end
+(* Root passes every check; anyone else needs [bit] (4 read, 2 write,
+   1 search) among the owner, group or other bits that apply to them. *)
+let permits attrs (cred : Cred.t) bit =
+  Cred.is_root cred
+  ||
+  let bits =
+    if cred.Cred.euid = attrs.owner then attrs.mode lsr 6
+    else if cred.Cred.egid = attrs.group then attrs.mode lsr 3
+    else attrs.mode
+  in
+  bits land bit <> 0
 
 let node_attrs = function File { attrs; _ } -> attrs | Dir { attrs; _ } -> attrs
 
@@ -141,17 +142,7 @@ let resolve_checked t ~cred ~path ~access =
       match node with
       | File _ -> Error Enotdir
       | Dir { entries; attrs } ->
-        let search_ok =
-          Cred.is_root cred
-          ||
-          let bits =
-            if cred.Cred.euid = attrs.owner then (attrs.mode lsr 6) land 7
-            else if cred.Cred.egid = attrs.group then (attrs.mode lsr 3) land 7
-            else attrs.mode land 7
-          in
-          bits land 1 <> 0
-        in
-        if not search_ok then Error Eacces
+        if not (permits attrs cred 1) then Error Eacces
         else begin
           match Hashtbl.find_opt entries name with
           | None -> Error Enoent
@@ -161,35 +152,14 @@ let resolve_checked t ~cred ~path ~access =
   match walk t.root (components path) with
   | Error _ as e -> e
   | Ok node ->
-    if permits (node_attrs node) cred access then Ok node else Error Eacces
+    let bit = match access with Read_access -> 4 | Write_access -> 2 in
+    if permits (node_attrs node) cred bit then Ok node else Error Eacces
 
 let open_file t ~cred ~path ~access =
   match resolve_checked t ~cred ~path ~access with
   | Error _ as e -> e
   | Ok (Dir _) -> Error Eisdir
   | Ok (File _) -> Ok ()
-
-let read_file t ~cred ~path =
-  match resolve_checked t ~cred ~path ~access:Read_access with
-  | Error _ as e -> e
-  | Ok (Dir _) -> Error Eisdir
-  | Ok (File { content; _ }) -> Ok content
-
-let append_file t ~cred ~path data =
-  match resolve_checked t ~cred ~path ~access:Write_access with
-  | Error _ as e -> e
-  | Ok (Dir _) -> Error Eisdir
-  | Ok (File f) ->
-    f.content <- f.content ^ data;
-    Ok ()
-
-let truncate_file t ~cred ~path =
-  match resolve_checked t ~cred ~path ~access:Write_access with
-  | Error _ as e -> e
-  | Ok (Dir _) -> Error Eisdir
-  | Ok (File f) ->
-    f.content <- "";
-    Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Unchecked accessors                                                 *)

@@ -42,13 +42,9 @@ type access = Read_access | Write_access
 
 val open_file :
   t -> cred:Cred.t -> path:string -> access:access -> (unit, error) result
-(** Check that [cred] may open [path] for [access]. *)
-
-val read_file : t -> cred:Cred.t -> path:string -> (string, error) result
-
-val append_file : t -> cred:Cred.t -> path:string -> string -> (unit, error) result
-
-val truncate_file : t -> cred:Cred.t -> path:string -> (unit, error) result
+(** Check that [cred] may open [path] for [access]: search permission
+    on every directory on the way, then read or write permission on the
+    file itself ([Eacces] otherwise; [Eisdir] for a directory). *)
 
 (* Unchecked accessors used by the kernel once an open has succeeded. *)
 

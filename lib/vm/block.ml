@@ -498,7 +498,7 @@ let discover mem ~entry_off =
     if k >= Memory.max_block_slots then List.rev acc
     else begin
       let at = base + entry_off + (k * Isa.instr_size) in
-      match Memory.fetch_decoded mem at with
+      match Memory.fetch mem at with
       | exception Memory.Fault _ -> List.rev acc
       | Error _ -> List.rev acc
       | Ok (tag, instr) ->

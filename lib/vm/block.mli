@@ -1,6 +1,7 @@
 (** Basic-block superinstruction compiler — the VM's default execution
-    tier, above the single-step decode cache ({!Memory.fetch_decoded})
-    it falls back to and the {!Memory.fetch_reference} oracle.
+    tier, above the stepping interpreter ({!Cpu.step}) it falls back to,
+    which the reference engine runs on its own as the differential
+    oracle. Both decode through the one uncached {!Memory.fetch}.
 
     Basic blocks are discovered at execution time (entry pc to the
     first control transfer, capped at {!Memory.max_block_slots}

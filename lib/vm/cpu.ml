@@ -143,7 +143,7 @@ let execute t instr next =
 
 let step t =
   let at = t.pc in
-  match Memory.fetch_decoded t.memory at with
+  match Memory.fetch t.memory at with
   | exception Memory.Fault { addr; access } -> Some (Fault_trap (Segfault { addr; access }))
   | Error _ -> Some (Fault_trap (Bad_instruction { addr = at }))
   | Ok (tag, instr) ->

@@ -67,18 +67,18 @@ val step : t -> trap option
 (** Execute one instruction. [None] means normal advancement. After a
     [Syscall_trap] the pc already points at the next instruction, so
     calling {!step} again resumes after the syscall. A fault leaves the
-    pc at the faulting instruction. Fetches go through the segment's
-    decode cache ({!Memory.fetch_decoded}), or through the reference
-    decoder under the [Reference] engine. *)
+    pc at the faulting instruction. Every step decodes afresh from the
+    segment bytes ({!Memory.fetch}), under either engine. *)
 
 val run : t -> fuel:int -> outcome
 (** Execute until a trap or until [fuel] instructions have retired.
     The execution tier is the segment's {!Memory.engine}: under
     [Block] (the default) the hot path runs whole compiled basic
     blocks (see {!Block}), falling back to {!step} whenever no block
-    is dispatchable; under [Reference] it single-steps through the
-    byte-at-a-time decoder. Both tiers retire the same instructions,
-    trap at the same pcs, and never overrun [fuel]. *)
+    is dispatchable; under [Reference] it only calls {!step}, the same
+    interpreter the block tier falls back to. Both tiers retire the
+    same instructions, trap at the same pcs, and never overrun
+    [fuel]. *)
 
 val block_stats : t -> int * int * int
 (** [(compiled, hits, invalidations)] for the block engine: blocks

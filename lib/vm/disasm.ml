@@ -1,12 +1,10 @@
 let instruction memory ~addr =
-  match Memory.load_bytes memory ~addr ~len:Isa.instr_size with
+  match Memory.fetch memory addr with
   | exception Memory.Fault _ -> Error (Printf.sprintf "unmapped address 0x%08X" addr)
-  | raw -> (
-    match Isa.decode raw with
-    | Ok (tag, instr) -> Ok (tag, instr)
-    | Error (Isa.Bad_opcode op) -> Error (Printf.sprintf "bad opcode %d" op)
-    | Error (Isa.Bad_selector sel) -> Error (Printf.sprintf "bad selector %d" sel)
-    | Error (Isa.Bad_register r) -> Error (Printf.sprintf "bad register %d" r))
+  | Ok (tag, instr) -> Ok (tag, instr)
+  | Error (Isa.Bad_opcode op) -> Error (Printf.sprintf "bad opcode %d" op)
+  | Error (Isa.Bad_selector sel) -> Error (Printf.sprintf "bad selector %d" sel)
+  | Error (Isa.Bad_register r) -> Error (Printf.sprintf "bad register %d" r)
 
 let region memory ~start ~count =
   let buf = Buffer.create 256 in

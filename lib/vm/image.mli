@@ -62,6 +62,5 @@ val snapshot : loaded -> snapshot
 
 val restore : loaded -> snapshot -> unit
 (** Roll the variant back to the snapshot. The memory restore rewrites
-    only the pages that differ from the snapshot and drops decoded
-    instructions and compiled blocks on those pages only
-    ({!Memory.restore}). *)
+    only the pages that differ from the snapshot and drops the compiled
+    blocks on those pages only ({!Memory.restore}). *)

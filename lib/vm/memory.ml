@@ -2,12 +2,6 @@ type access = Read | Write | Execute
 
 exception Fault of { addr : int; access : access }
 
-(* One slot per [Isa.instr_size]-aligned window of the segment. A slot
-   caches the full decode result (tag included) so the CPU's fetch path
-   is two array loads (directory, then page); stores into the window
-   reset it to [Not_decoded]. *)
-type decode_slot = Not_decoded | Cached of (int * Isa.t, Isa.decode_error) result
-
 type engine = Reference | Block
 
 type block_code = ..
@@ -23,10 +17,10 @@ type block_entry = { be_end : int; be_valid : bool ref; be_code : block_code }
 
 let no_entry = { be_end = 0; be_valid = ref false; be_code = No_block }
 
-(* Decoded state for one 4 KiB page of the segment, one element per
-   instruction slot: the decode cache, the block registered at each
-   entry slot, and how many live blocks span each slot. *)
-type page = { decoded : decode_slot array; entries : block_entry array; cover : int array }
+(* The block registry for one 4 KiB page of the segment, one element per
+   instruction slot: the block registered at each entry slot, and how
+   many live blocks span each slot. *)
+type page = { entries : block_entry array; cover : int array }
 
 (* Slot index = offset / instr_size, as a shift on the (non-negative)
    validated offsets the hot paths pass in. *)
@@ -44,16 +38,12 @@ let page_slots = 1 lsl page_slot_shift
 
 let page_mask = page_slots - 1
 
-(* Every directory entry points here until the first decode or block
-   registration inside its page. Its slots read as "nothing decoded, no
-   block, no cover", so lookups never test for an unallocated page; it
-   is shared by every segment and never written. *)
+(* Every directory entry points here until the first block registration
+   inside its page. Its slots read as "no block, no cover", so lookups
+   never test for an unallocated page; it is shared by every segment and
+   never written. *)
 let empty_page =
-  {
-    decoded = Array.make page_slots Not_decoded;
-    entries = Array.make page_slots no_entry;
-    cover = Array.make page_slots 0;
-  }
+  { entries = Array.make page_slots no_entry; cover = Array.make page_slots 0 }
 
 type t = {
   base : int;
@@ -71,11 +61,10 @@ type t = {
   dirty : bool array;
   mutable engine : engine;
   mutable block_invalidations : int;
-  (* Watermark of slots ever decoded or registered (empty when
-     [wm_hi < wm_lo]). Decoded state only ever exists inside it, so a
-     store outside the watermark (stack and heap traffic, the
-     overwhelmingly common case) skips all invalidation with two
-     compares. *)
+  (* Watermark of slots ever registered (empty when [wm_hi < wm_lo]).
+     Registered blocks only ever span slots inside it, so a store outside
+     the watermark (stack and heap traffic, the overwhelmingly common
+     case) skips all invalidation with two compares. *)
   mutable wm_lo : int;
   mutable wm_hi : int;
 }
@@ -152,18 +141,14 @@ let slot_count t = (t.size + Isa.instr_size - 1) lsr instr_shift
 (* The page holding [slot], for reading: possibly [empty_page]. *)
 let page_of t slot = t.pages.(slot lsr page_slot_shift)
 
-(* The page holding [slot], allocated if this is the first decoded or
-   registered slot inside it. *)
+(* The page holding [slot], allocated if this is the first registered
+   slot inside it. *)
 let writable_page t slot =
   let p = page_of t slot in
   if p != empty_page then p
   else begin
     let p =
-      {
-        decoded = Array.make page_slots Not_decoded;
-        entries = Array.make page_slots no_entry;
-        cover = Array.make page_slots 0;
-      }
+      { entries = Array.make page_slots no_entry; cover = Array.make page_slots 0 }
     in
     t.pages.(slot lsr page_slot_shift) <- p;
     p
@@ -171,10 +156,6 @@ let writable_page t slot =
 
 let decoded_pages t =
   Array.fold_left (fun n p -> if p != empty_page then n + 1 else n) 0 t.pages
-
-let widen_watermark t lo hi =
-  if lo < t.wm_lo then t.wm_lo <- lo;
-  if hi > t.wm_hi then t.wm_hi <- hi
 
 (* ------------------------------------------------------------------ *)
 (* Compiled-block registry                                             *)
@@ -216,18 +197,17 @@ let register_block t ~slot ~slots ~valid code =
     let p = writable_page t s in
     p.cover.(s land page_mask) <- p.cover.(s land page_mask) + 1
   done;
-  (* The store path only looks at slots inside the watermark; grow it
-     so the invariant holds even for spans registered without a prior
-     decode. *)
-  widen_watermark t slot (slot + slots - 1)
+  (* The store path only looks at slots inside the watermark. *)
+  if slot < t.wm_lo then t.wm_lo <- slot;
+  if slot + slots - 1 > t.wm_hi then t.wm_hi <- slot + slots - 1
 
 (* Store-side maintenance for a write of [len] bytes at segment offset
-   [off]: mark the overlapped pages dirty for the next checkpoint, reset
-   the overlapped decode slots and invalidate every registered block
-   whose span intersects them. The cover counts make the no-block case
-   (every store into plain data) one directory load per slot; only when
-   a store actually lands under a compiled block do we back-scan the
-   bounded window of entry slots that could span it. *)
+   [off]: mark the overlapped pages dirty for the next checkpoint and
+   invalidate every registered block whose span intersects the write.
+   The cover counts make the no-block case (every store into plain data)
+   one directory load per slot; only when a store actually lands under a
+   compiled block do we back-scan the bounded window of entry slots that
+   could span it. *)
 let invalidate_window t off len =
   for p = off lsr page_shift to (off + len - 1) lsr page_shift do
     t.dirty.(p) <- true
@@ -237,11 +217,7 @@ let invalidate_window t off len =
   if lo <= t.wm_hi && hi >= t.wm_lo then begin
     let covered = ref false in
     for s = lo to hi do
-      let p = page_of t s in
-      if p != empty_page then begin
-        p.decoded.(s land page_mask) <- Not_decoded;
-        if p.cover.(s land page_mask) > 0 then covered := true
-      end
+      if (page_of t s).cover.(s land page_mask) > 0 then covered := true
     done;
     if !covered then
       for e = max 0 (lo - max_block_slots + 1) to hi do
@@ -276,8 +252,8 @@ let snapshot t =
 (* Rewrite only the pages that may differ from the snapshot: dirty ones,
    and clean ones holding another copy. [invalidate_window] over a
    rewritten page retires every block that touches it, which leaves its
-   directory entry empty; pages left alone keep their decoded state, so
-   blocks on untouched code pages survive a rollback. *)
+   directory entry empty; pages left alone keep their registry, so blocks
+   on untouched code pages survive a rollback. *)
 let restore t snap =
   if snap.snap_size <> t.size then
     invalid_arg "Memory.restore: snapshot is for a different segment size";
@@ -302,10 +278,6 @@ let store_byte t addr b =
   let off = addr - t.base in
   Bytes.set t.data off (Char.chr (b land 0xFF));
   invalidate_window t off 1
-
-let exec_byte t addr =
-  check t addr Execute;
-  Char.code (Bytes.get t.data (addr - t.base))
 
 let load_word t addr =
   let off = addr - t.base in
@@ -359,40 +331,14 @@ let store_cstring t ~addr s =
   invalidate_window t off len
 
 (* ------------------------------------------------------------------ *)
-(* Decoded fetch                                                       *)
+(* Instruction fetch                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The pre-cache fetch path, kept as the differential-testing and
-   benchmarking reference: byte-at-a-time Execute-checked loads into a
-   fresh buffer, then a full decode. *)
-let fetch_reference t addr =
-  let b = Bytes.create Isa.instr_size in
-  for i = 0 to Isa.instr_size - 1 do
-    Bytes.set b i (Char.chr (exec_byte t (addr + i)))
-  done;
-  Isa.decode b
-
-let fetch_decoded t addr =
+let fetch t addr =
   let off = addr - t.base in
-  if
-    t.engine = Reference
-    || off < 0
-    || off + Isa.instr_size > t.size
-    || off land (Isa.instr_size - 1) <> 0
-  then
-    (* Reference engine, out of range (faults like the byte loop), or an
-       unaligned fetch that would alias a cache slot: decode fresh. *)
-    fetch_reference t addr
-  else begin
-    let slot = off lsr instr_shift in
-    match (page_of t slot).decoded.(slot land page_mask) with
-    | Cached r -> r
-    | Not_decoded ->
-      let r = Isa.decode_at t.data ~pos:off in
-      (writable_page t slot).decoded.(slot land page_mask) <- Cached r;
-      widen_watermark t slot slot;
-      r
-  end
+  if off < 0 || off + Isa.instr_size > t.size then
+    fault_range t addr Isa.instr_size Execute;
+  Isa.decode_at t.data ~pos:off
 
 (* ------------------------------------------------------------------ *)
 (* Raw access for the block compiler                                   *)

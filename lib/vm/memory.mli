@@ -46,9 +46,10 @@ val restore : t -> snapshot -> unit
 (** Roll the segment back to the snapshot. Only the pages that may
     differ are rewritten: those dirtied since the last checkpoint, and
     those holding a copy other than the snapshot's (every page, for a
-    snapshot of another segment). Decoded state is dropped on exactly
-    those pages: their registered blocks are invalidated (and counted in
-    {!block_invalidations}) and their page-directory entries released.
+    snapshot of another segment). The block registry is dropped on
+    exactly those pages: their registered blocks are invalidated (and
+    counted in {!block_invalidations}) and their page-directory entries
+    released.
     Compiled blocks on pages left alone stay valid. Raises
     [Invalid_argument] on a segment-size mismatch, before touching the
     segment. *)
@@ -74,45 +75,21 @@ val store_cstring : t -> addr:int -> string -> unit
     range is validated before any byte is written, so a faulting store
     leaves guest memory untouched. *)
 
-val exec_byte : t -> int -> int
-(** Like {!load_byte} but faults carry [Execute] access, used by the
-    CPU's fetch path so traces distinguish fetch faults. *)
-
-(** {1 Decoded instruction fetch}
-
-    Decoded state lives in a page directory: one entry per 4 KiB page
-    of the segment, pointing at a shared empty page until the first
-    decode or block registration inside it allocates the page's own
-    slots (one per [Isa.instr_size]-aligned window). Decoded state
-    therefore follows the few pages of code that actually run, not the
-    segment size. Every store ({!store_byte}, {!store_word},
-    {!store_bytes}, {!store_cstring}) invalidates exactly the slots it
-    overlaps, so self-modifying code and injected code are re-decoded
-    (and re-tag-checked) on their next fetch — attack detection is
-    byte-for-byte identical to the uncached decoder. *)
-
-val fetch_decoded : t -> int -> (int * Isa.t, Isa.decode_error) result
-(** Decode the instruction at an absolute address, returning
-    [(tag, instruction)] from the cache when possible. Raises {!Fault}
-    with [Execute] access (at the first out-of-range byte) when the
-    [Isa.instr_size]-byte window is not fully mapped. Unaligned
-    addresses (relative to the segment base) are decoded without
-    caching. *)
-
-val fetch_reference : t -> int -> (int * Isa.t, Isa.decode_error) result
-(** The uncached reference fetch path: byte-at-a-time Execute-checked
-    loads plus a fresh decode. Used by differential tests and the
-    [hostperf] benchmark as the pre-cache baseline; semantics are
-    identical to {!fetch_decoded}. *)
+val fetch : t -> int -> (int * Isa.t, Isa.decode_error) result
+(** Decode the instruction at an absolute address into [(tag,
+    instruction)], straight from the segment bytes: the only instruction
+    fetch, used by [Cpu.step] under both engines, by the block compiler
+    while it discovers a block, and by [Disasm]. Raises {!Fault} with [Execute]
+    access, at the first unmapped byte, when the [Isa.instr_size]-byte
+    window is not fully mapped. Any offset decodes, aligned or not. *)
 
 (** {1 Execution engine selection}
 
     The VM has two execution tiers sharing one observable semantics:
     the basic-block compiler (see [Block]), which falls back to
-    single-stepping through the decode cache ({!fetch_decoded}) when no
-    block is dispatchable, and the byte-at-a-time {!fetch_reference}
-    decoder, kept as the differential oracle. The segment records which
-    tier its CPU runs. *)
+    single-stepping ([Cpu.step]) when no block is dispatchable, and
+    that same stepping interpreter on its own, kept as the differential
+    oracle. The segment records which tier its CPU runs. *)
 
 type engine = Reference | Block
 
@@ -129,17 +106,22 @@ val default_engine : unit -> engine
 (** The engine newly created segments start in: [NV_ENGINE] when set to
     a recognized name, otherwise {!Block}. *)
 
-val decoded_pages : t -> int
-(** How many 4 KiB pages of the segment currently hold decoded state
-    (cached decodes or registered blocks). *)
-
 (** {1 Compiled-block registry}
 
     The block compiler registers each compiled block's slot span here;
     every store whose range intersects a registered span flips the
     block's shared validity cell, so self-modifying and injected code
     always re-enter the decoder (and the tag check) on their next
-    dispatch. *)
+    dispatch. The registry lives in a page directory: one entry per
+    4 KiB page of the segment, pointing at a shared empty page until the
+    first block registration inside it allocates the page's own slots
+    (one per [Isa.instr_size]-aligned window). It therefore follows the
+    few pages of code that actually run, not the segment size. *)
+
+val decoded_pages : t -> int
+(** How many 4 KiB pages of the segment hold a block registry: pages
+    with a block registered since they were created or last rewritten by
+    a {!restore}. *)
 
 val max_block_slots : int
 (** Upper bound on a registered block's span in slots; bounds the
@@ -177,14 +159,14 @@ val bytes : t -> Bytes.t
 (** The live backing store. The reference is stable for the lifetime of
     the segment ({!restore} blits in place); offset [o] maps to address
     [base + o]. Callers that write through it must follow with
-    {!invalidate_window}: a write that skips it leaves stale decoded
-    code and corrupts later checkpoints. *)
+    {!invalidate_window}: a write that skips it leaves stale compiled
+    blocks and corrupts later checkpoints. *)
 
 val invalidate_window : t -> int -> int -> unit
 (** [invalidate_window t off len] performs the store-side maintenance
     for a write of [len] bytes at segment offset [off]: marks the
     overlapped 4 KiB pages dirty, so the next {!snapshot} copies them
-    and the next {!restore} rewrites them; drops overlapped decode-cache
-    slots; and invalidates intersecting registered blocks. Past the
-    dirty mark it is O(1) — two compares — for stores outside the
-    decoded region, one directory load per slot inside it. *)
+    and the next {!restore} rewrites them, and invalidates intersecting
+    registered blocks. Past the dirty mark it is O(1) — two compares —
+    for stores outside the slots blocks have ever been registered over,
+    one directory load per slot inside them. *)

@@ -7,6 +7,7 @@ module Word = Nv_vm.Word
 module Cpu = Nv_vm.Cpu
 module Memory = Nv_vm.Memory
 module Image = Nv_vm.Image
+module Isa = Nv_vm.Isa
 module Kernel = Nv_os.Kernel
 module Socket = Nv_os.Socket
 module Vfs = Nv_os.Vfs
@@ -877,6 +878,135 @@ let test_out_of_fuel () =
   | Monitor.Out_of_fuel -> ()
   | _ -> Alcotest.fail "expected fuel exhaustion"
 
+(* ------------------------------------------------------------------ *)
+(* Trust boundary                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The monitor is the trust boundary: no guest program, however
+   malformed, may crash it with an OCaml exception. Raw programs make
+   syscalls with wild numbers, pointers and lengths, load and store
+   through them, and jump to addresses within 8 bytes of either end of
+   the segment, where an instruction window is only partly mapped. *)
+module Prng = Nv_util.Prng
+
+let tb_segment = 1 lsl 17
+
+(* Every shipped N from 1 to 4, with and without data diversity. *)
+let tb_variations =
+  [|
+    Variation.single; Variation.uid_diversity; Variation.instruction_tagging;
+    Variation.full_diversity_n 3; Variation.uid_diversity_n 3; Variation.uid_diversity_n 4;
+    Variation.full_diversity_n 4;
+  |]
+
+(* A segment offset within 8 bytes of either end, aligned or not. *)
+let tb_edge prng =
+  if Prng.bool prng then Prng.int prng 16 - 8 else tb_segment - 8 + Prng.int prng 16
+
+(* An immediate as [(word, relocate)]: relocated words are segment
+   offsets the loader rebases, so they name the same place in every
+   variant. *)
+let tb_word prng =
+  match Prng.int prng 6 with
+  | 0 -> (Prng.int prng 64, false)
+  | 1 -> (Prng.int prng tb_segment, true)
+  | 2 -> (Word.mask (tb_edge prng), true)
+  | 3 -> (Prng.pick prng [| 0xFFFFFFFF; 0x7FFFFFFF; 0x80000000; tb_segment |], false)
+  | 4 -> (Prng.int prng 0x1_0000_0000, false)
+  | _ -> (Prng.int prng (2 * tb_segment), false)
+
+let tb_image prng =
+  let code = ref [] in
+  let emit ?(relocate = false) instr = code := { Image.instr; relocate } :: !code in
+  let mov rd (w, relocate) = emit ~relocate (Isa.Mov (rd, Isa.Imm w)) in
+  let reg () = Prng.int prng 8 in
+  let target () =
+    if Prng.bool prng then Word.mask (tb_edge prng)
+    else Prng.int prng 48 * Isa.instr_size
+  in
+  (* Start with in-segment pointers in r1-r7, so loads and stores
+     mostly succeed and the wild values reach the kernel. *)
+  for r = 1 to 7 do
+    mov r (Prng.int prng tb_segment, true)
+  done;
+  for _ = 1 to 40 do
+    match Prng.int prng 100 with
+    | n when n < 30 ->
+      let number =
+        if Prng.int prng 4 = 0 then fst (tb_word prng) else Prng.int prng 32
+      in
+      mov 0 (number, false);
+      for r = 1 to 1 + Prng.int prng 5 do
+        mov r (tb_word prng)
+      done;
+      emit Isa.Syscall
+    | n when n < 42 -> mov (Prng.int prng 14) (tb_word prng)
+    | n when n < 50 -> emit (Isa.Binop (Isa.Add, reg (), reg (), Isa.Reg (reg ())))
+    | n when n < 62 -> (
+      let off = Prng.int prng 64 in
+      match Prng.int prng 4 with
+      | 0 -> emit (Isa.Load (reg (), reg (), off))
+      | 1 -> emit (Isa.Store (reg (), off, reg ()))
+      | 2 -> emit (Isa.Loadb (reg (), reg (), off))
+      | _ -> emit (Isa.Storeb (reg (), off, reg ())))
+    | n when n < 78 -> (
+      match Prng.int prng 3 with
+      | 0 -> emit ~relocate:true (Isa.Jmp (target ()))
+      | 1 -> emit ~relocate:true (Isa.Br (Isa.Ne, reg (), reg (), target ()))
+      | _ -> emit ~relocate:true (Isa.Call (target ())))
+    | n when n < 84 -> emit (if Prng.bool prng then Isa.Jmpr (reg ()) else Isa.Callr (reg ()))
+    | n when n < 92 -> emit (Prng.pick prng [| Isa.Push (reg ()); Isa.Pop (reg ()); Isa.Ret |])
+    | _ -> emit Isa.Nop
+  done;
+  mov 0 (Nv_os.Syscall.sys_exit, false);
+  emit Isa.Syscall;
+  { Image.code = Array.of_list (List.rev !code); data = Bytes.empty; bss_size = 0;
+    entry_offset = 0; symbols = [] }
+
+let outcome_string = function
+  | Monitor.Exited n -> Printf.sprintf "exit %d" n
+  | Monitor.Alarm reason -> "alarm: " ^ Alarm.to_string reason
+  | Monitor.Blocked_on_accept -> "blocked on accept"
+  | Monitor.Out_of_fuel -> "out of fuel"
+
+(* Run on one engine with small fuel; a run parked on [accept] gets
+   one client request and runs on. *)
+let tb_run ~engine ~variation ~recover image =
+  let sys =
+    Nsystem.of_one_image ~engine ~segment_size:tb_segment ?recover ~variation image
+  in
+  let rec go tries =
+    match Nsystem.run ~fuel:2_000 sys with
+    | Monitor.Blocked_on_accept when tries > 0 ->
+      let conn = Nsystem.connect sys in
+      Socket.client_send conn "GET / HTTP/1.0\r\n\r\n";
+      "blocked on accept; " ^ go (tries - 1)
+    | outcome -> outcome_string outcome
+  in
+  let outcome = go 1 in
+  Printf.sprintf "%s (%d retired)" outcome
+    (Monitor.instructions_retired (Nsystem.monitor sys))
+
+let prop_trust_boundary =
+  QCheck.Test.make ~name:"raw programs never raise, engines agree" ~count:300
+    QCheck.(
+      triple (int_bound 1_000_000_000) (int_bound (Array.length tb_variations - 1)) bool)
+    (fun (seed, v, recover) ->
+      let image = tb_image (Prng.create ~seed) in
+      let variation = tb_variations.(v) in
+      let recover = if recover then Some Supervisor.default_config else None in
+      let run engine =
+        match tb_run ~engine ~variation ~recover image with
+        | transcript -> transcript
+        | exception e ->
+          QCheck.Test.fail_reportf "%s engine raised %s" (Memory.engine_to_string engine)
+            (Printexc.to_string e)
+      in
+      let reference = run Memory.Reference and block = run Memory.Block in
+      if reference <> block then
+        QCheck.Test.fail_reportf "reference: %s\nblock: %s" reference block;
+      true)
+
 let () =
   Alcotest.run "nv_core"
     [
@@ -973,4 +1103,5 @@ let () =
             test_syscall_numbers_fit_fast_path;
           Alcotest.test_case "out of fuel" `Quick test_out_of_fuel;
         ] );
+      ("trust boundary", qsuite [ prop_trust_boundary ]);
     ]

@@ -411,7 +411,7 @@ let test_relaxed_divergence_alarms () =
 
 let test_rollback_resets_relaxed_state () =
   (* Fuel exhaustion mid-stretch leaves arrivals parked; restore must
-     clear them (and drop decoded state on the pages it rewrites) so the
+     clear them (and drop compiled blocks on the pages it rewrites) so the
      replay after rollback is bit-identical under either engine. *)
   assert_equivalent ~what:"rollback mid-relaxed-stretch"
     ~build:(build_minic relaxed_stretch_program)

@@ -209,41 +209,74 @@ let world () =
     ~path:"/home/alice/notes.txt" "hello\n";
   fs
 
+(* The kernel's sequence: the permission check at open, then the
+   unchecked accessor. *)
+let read_checked fs ~cred ~path =
+  match Vfs.open_file fs ~cred ~path ~access:Vfs.Read_access with
+  | Error _ as e -> e
+  | Ok () -> Vfs.contents fs ~path
+
+let write_checked fs ~cred ~path content =
+  match Vfs.open_file fs ~cred ~path ~access:Vfs.Write_access with
+  | Error _ as e -> e
+  | Ok () -> Vfs.set_contents fs ~path content
+
 let test_vfs_read () =
   let fs = world () in
   let alice = Cred.of_user ~uid:1000 ~gid:1000 in
-  (match Vfs.read_file fs ~cred:alice ~path:"/etc/passwd" with
+  (match read_checked fs ~cred:alice ~path:"/etc/passwd" with
   | Ok content -> Alcotest.(check bool) "readable" true (String.length content > 0)
   | Error _ -> Alcotest.fail "passwd is world readable");
-  match Vfs.read_file fs ~cred:alice ~path:"/etc/shadow" with
+  match read_checked fs ~cred:alice ~path:"/etc/shadow" with
   | Error Vfs.Eacces -> ()
   | _ -> Alcotest.fail "shadow must be denied"
 
 let test_vfs_root_bypasses () =
   let fs = world () in
-  match Vfs.read_file fs ~cred:Cred.superuser ~path:"/etc/shadow" with
+  match read_checked fs ~cred:Cred.superuser ~path:"/etc/shadow" with
   | Ok content -> Alcotest.(check string) "shadow" "secret\n" content
   | Error _ -> Alcotest.fail "root reads everything"
 
 let test_vfs_owner_write () =
   let fs = world () in
   let alice = Cred.of_user ~uid:1000 ~gid:1000 in
-  (match Vfs.append_file fs ~cred:alice ~path:"/home/alice/notes.txt" "more\n" with
+  (match write_checked fs ~cred:alice ~path:"/home/alice/notes.txt" "hello\nmore\n" with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "owner writes own file");
+  (match Vfs.contents fs ~path:"/home/alice/notes.txt" with
+  | Ok c -> Alcotest.(check string) "written" "hello\nmore\n" c
+  | Error _ -> Alcotest.fail "exists");
   let bob = Cred.of_user ~uid:1001 ~gid:1001 in
-  match Vfs.append_file fs ~cred:bob ~path:"/home/alice/notes.txt" "x" with
+  match write_checked fs ~cred:bob ~path:"/home/alice/notes.txt" "x" with
   | Error Vfs.Eacces -> ()
   | _ -> Alcotest.fail "other write denied"
 
 let test_vfs_enoent_and_eisdir () =
   let fs = world () in
-  (match Vfs.read_file fs ~cred:Cred.superuser ~path:"/nope" with
+  (match read_checked fs ~cred:Cred.superuser ~path:"/nope" with
   | Error Vfs.Enoent -> ()
   | _ -> Alcotest.fail "ENOENT expected");
-  match Vfs.read_file fs ~cred:Cred.superuser ~path:"/etc" with
+  match read_checked fs ~cred:Cred.superuser ~path:"/etc" with
   | Error Vfs.Eisdir -> ()
   | _ -> Alcotest.fail "EISDIR expected"
+
+(* Opening a file needs search (execute) permission on every directory
+   on the way, by the same owner/group/other rule as the file's own
+   bits. *)
+let test_vfs_directory_search () =
+  let fs = world () in
+  Vfs.mkdir_p fs ~attrs:{ Vfs.mode = 0o710; owner = 1000; group = 50 } "/srv/private";
+  Vfs.install fs ~path:"/srv/private/data" "x";
+  let opens cred =
+    Vfs.open_file fs ~cred ~path:"/srv/private/data" ~access:Vfs.Read_access
+  in
+  let check what expected cred =
+    Alcotest.(check bool) what true (opens cred = expected)
+  in
+  check "owner searches" (Ok ()) (Cred.of_user ~uid:1000 ~gid:1000);
+  check "group searches" (Ok ()) (Cred.of_user ~uid:1001 ~gid:50);
+  check "other denied" (Error Vfs.Eacces) (Cred.of_user ~uid:1001 ~gid:1001);
+  check "root bypasses" (Ok ()) Cred.superuser
 
 let test_vfs_list_dir () =
   let fs = world () in
@@ -266,7 +299,7 @@ let test_vfs_stat () =
 
 let test_vfs_truncate () =
   let fs = world () in
-  (match Vfs.truncate_file fs ~cred:Cred.superuser ~path:"/etc/passwd" with
+  (match write_checked fs ~cred:Cred.superuser ~path:"/etc/passwd" "" with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "truncate");
   match Vfs.contents fs ~path:"/etc/passwd" with
@@ -302,7 +335,7 @@ let test_vfs_dump_files () =
 let test_vfs_traversal_normalization () =
   let fs = world () in
   let read path =
-    match Vfs.read_file fs ~cred:Cred.superuser ~path with
+    match read_checked fs ~cred:Cred.superuser ~path with
     | Ok c -> Some c
     | Error _ -> None
   in
@@ -323,7 +356,7 @@ let prop_vfs_dotdot_bounded =
     (fun n ->
       let fs = world () in
       let prefix = String.concat "" (List.init n (fun _ -> "/..")) in
-      match Vfs.read_file fs ~cred:Cred.superuser ~path:(prefix ^ "/etc/passwd") with
+      match read_checked fs ~cred:Cred.superuser ~path:(prefix ^ "/etc/passwd") with
       | Ok _ -> true
       | Error _ -> false)
 
@@ -722,6 +755,8 @@ let () =
           Alcotest.test_case "owner write" `Quick test_vfs_owner_write;
           Alcotest.test_case "enoent/eisdir" `Quick test_vfs_enoent_and_eisdir;
           Alcotest.test_case "list dir" `Quick test_vfs_list_dir;
+          Alcotest.test_case "directory search permission" `Quick
+            test_vfs_directory_search;
           Alcotest.test_case "install replaces" `Quick test_vfs_install_replaces;
           Alcotest.test_case "stat" `Quick test_vfs_stat;
           Alcotest.test_case "truncate" `Quick test_vfs_truncate;

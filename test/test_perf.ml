@@ -1,14 +1,14 @@
-(* Performance-PR guarantees: the execution tiers above the reference
-   decoder — the decode cache [Cpu.step] fetches through and the
-   basic-block compiler — are semantically invisible, and their decoded
-   state stays page-granular.
+(* Performance-PR guarantees: the basic-block compiler above the
+   stepping interpreter is semantically invisible, both share one exact
+   instruction fetch, and the block registry stays page-granular.
 
-   - A randomized differential test runs generated programs (including
-     self-modifying stores into executed code and wrongly-tagged
-     injected words) through [Cpu.step] on a block-engine segment (the
-     decode-cache fetch path) and on the reference decoder in lockstep
-     and asserts identical registers, traps, retired counts, and memory
-     contents.
+   - A randomized fetch differential steps generated programs
+     (including self-modifying stores into executed code and
+     wrongly-tagged injected words) and compares [Memory.fetch], faults
+     included, with a test-local byte-at-a-time decode at every pc they
+     visit and at every offset of the segment's first and last 16
+     bytes; a run from a pc whose window crosses either end of the
+     segment traps at the first unmapped byte under every engine.
    - A sliced-run differential drives the same generated programs
      through [Cpu.run] under the reference and block engines with
      randomized fuel slices, so block boundaries, mid-block fuel
@@ -22,7 +22,7 @@
      in a segment's last page faults, a restore that rewrites a code
      page retires the blocks compiled from it, a restore that rewrites
      only data pages keeps the compiled blocks, and the served config4
-     deployment keeps its decoded state within a few pages.
+     deployment keeps its block registry within a few pages.
    - Chained-block tests check each guard on a block exit's link: a
      link into a block that a host store or a restore retired is not
      followed, a warmed chain stops at every fuel budget exactly where
@@ -33,14 +33,13 @@
      the sliced-run equivalence, and incremental checkpoints against a
      full-copy model.
    - A pinned regression asserts the bench report's demand/monitor
-     counters are byte-identical to the committed BENCH_results.json
-     baseline. *)
+     counters equal constants the fast paths must never move. *)
 
 open Nv_vm
 module Prng = Nv_util.Prng
 
 (* ------------------------------------------------------------------ *)
-(* Differential: decode-cache stepping vs reference interpreter        *)
+(* Fetch against a byte-at-a-time oracle                               *)
 (* ------------------------------------------------------------------ *)
 
 let base = 0x10000
@@ -118,50 +117,89 @@ let trap_to_string = function
   | None -> "running"
   | Some trap -> Format.asprintf "%a" Cpu.pp_trap trap
 
-let check_lockstep_state ~seed ~step cached reference =
+let check_lockstep_state ~seed ~step block reference =
   Alcotest.(check int)
     (Printf.sprintf "seed %d step %d: pc" seed step)
-    (Cpu.pc reference) (Cpu.pc cached);
+    (Cpu.pc reference) (Cpu.pc block);
   for r = 0 to 15 do
     Alcotest.(check int)
       (Printf.sprintf "seed %d step %d: r%d" seed step r)
-      (Cpu.reg reference r) (Cpu.reg cached r)
+      (Cpu.reg reference r) (Cpu.reg block r)
   done;
   Alcotest.(check int)
     (Printf.sprintf "seed %d step %d: retired" seed step)
     (Cpu.instructions_retired reference)
-    (Cpu.instructions_retired cached)
+    (Cpu.instructions_retired block)
 
-let run_differential ~seed ~steps =
+(* The byte-at-a-time fetch [Memory.fetch] replaced, kept here as its
+   oracle: check each byte of the window in turn (the first unmapped
+   one faults, with [Execute] access), copy the bytes out and decode
+   the copy. *)
+let fetch_bytewise memory addr =
+  let b = Bytes.create Isa.instr_size in
+  for i = 0 to Isa.instr_size - 1 do
+    if not (Memory.in_range memory (addr + i)) then
+      raise (Memory.Fault { addr = addr + i; access = Memory.Execute });
+    Bytes.set b i (Char.chr (Memory.load_byte memory (addr + i)))
+  done;
+  Isa.decode b
+
+let fetch_to_string fetch memory addr =
+  match fetch memory addr with
+  | exception Memory.Fault { addr; access } ->
+    Printf.sprintf "fault at 0x%X (%s)" addr
+      (match access with
+      | Memory.Read -> "read"
+      | Memory.Write -> "write"
+      | Memory.Execute -> "execute")
+  | Ok (tag, instr) -> Format.asprintf "tag %d: %a" tag Isa.pp instr
+  | Error (Isa.Bad_opcode n) -> Printf.sprintf "bad opcode %d" n
+  | Error (Isa.Bad_selector n) -> Printf.sprintf "bad selector %d" n
+  | Error (Isa.Bad_register n) -> Printf.sprintf "bad register %d" n
+
+let check_fetch what memory addr =
+  Alcotest.(check string)
+    (Printf.sprintf "%s: fetch at 0x%X" what addr)
+    (fetch_to_string fetch_bytewise memory addr)
+    (fetch_to_string Memory.fetch memory addr)
+
+(* Every offset of the segment's first and last 16 bytes, aligned or
+   not, and the 16 unmapped bytes beside each end. *)
+let check_fetch_edges what memory =
+  let seg_end = Memory.base memory + Memory.size memory in
+  for o = -16 to 15 do
+    check_fetch what memory (Memory.base memory + o);
+    check_fetch what memory (seg_end + o)
+  done
+
+(* Step a generated program (self-modifying stores, wrong-tag words and
+   wild [jmpr] targets included) and compare [Memory.fetch] with the
+   oracle at every pc it visits, and at the segment edges before and
+   after the run. The last 16 bytes start out random, so the edge
+   sweep also decodes wrong tags and bad opcodes. *)
+let run_fetch_differential ~seed ~steps =
   let prng = Prng.create ~seed in
   let program = Array.init code_len (fun _ -> gen_instr prng) in
-  (* [Cpu.step] fetches through the decode cache on a block-engine
-     segment: the interpreter the block engine falls back to. *)
-  let cached_cpu, cached_mem = build_cpu ~engine:Memory.Block program in
-  let ref_cpu, ref_mem = build_cpu ~engine:Memory.Reference program in
+  let cpu, memory = build_cpu ~engine:Memory.Block program in
+  Memory.store_bytes memory
+    ~addr:(base + seg_size - 16)
+    (Bytes.init 16 (fun _ -> Char.chr (Prng.int prng 256)));
+  let what = Printf.sprintf "seed %d" seed in
+  check_fetch_edges what memory;
   let rec go step =
     if step < steps then begin
-      let ct = Cpu.step cached_cpu in
-      let rt = Cpu.step ref_cpu in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d step %d: trap" seed step)
-        (trap_to_string rt) (trap_to_string ct);
-      check_lockstep_state ~seed ~step cached_cpu ref_cpu;
-      match ct with
+      check_fetch (Printf.sprintf "seed %d step %d" seed step) memory (Cpu.pc cpu);
+      match Cpu.step cpu with
       | None | Some Cpu.Syscall_trap -> go (step + 1)
       | Some Cpu.Halt_trap | Some (Cpu.Fault_trap _) -> ()
     end
   in
   go 0;
-  let dump m = Bytes.to_string (Memory.load_bytes m ~addr:base ~len:seg_size) in
-  Alcotest.(check bool)
-    (Printf.sprintf "seed %d: memory identical" seed)
-    true
-    (String.equal (dump cached_mem) (dump ref_mem))
+  check_fetch_edges what memory
 
-let test_differential_random_programs () =
+let test_fetch_matches_bytewise () =
   for seed = 1 to 40 do
-    run_differential ~seed ~steps:600
+    run_fetch_differential ~seed ~steps:600
   done
 
 (* ------------------------------------------------------------------ *)
@@ -183,7 +221,7 @@ let test_differential_random_programs () =
    or when the run first stops, then run on. The block segment never
    took a snapshot of its own, so none of its pages holds the
    checkpoint's copy and the restore rewrites them all: it must drop
-   every compiled block and decoded page with the rollback (the program
+   every compiled block and registry page with the rollback (the program
    may have rewritten its own code since the checkpoint) and still agree
    with the reference. *)
 let outcome_to_string = function
@@ -247,12 +285,13 @@ let test_differential_engines () =
 
 let le_word b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFFFFFF
 
-(* A guest program that executes an instruction (filling the decode
-   cache), overwrites that instruction with its own stores, jumps back,
-   and must observe the new instruction. A stale cache would loop
-   forever. The replacement is encoded with [patch_tag], so the same
-   program doubles as the code-injection probe: a wrong tag must fault
-   exactly as without the cache. *)
+(* A guest program that executes an instruction (compiling its block
+   under the block engine), overwrites that instruction with its own
+   stores, jumps back, and must observe the new instruction. A stale
+   block would loop forever. The replacement is encoded with
+   [patch_tag], so the same program doubles as the code-injection
+   probe: a wrong tag must fault exactly as under the stepping
+   interpreter. *)
 let self_modifying_source ~patch_tag =
   let patch = Isa.encode ~tag:patch_tag (Isa.Mov (3, Isa.Imm 42)) in
   Printf.sprintf
@@ -286,7 +325,7 @@ let test_smc_guest_store_invalidates () =
       (match Cpu.run loaded.Image.cpu ~fuel:1000 with
       | Cpu.Trapped Cpu.Halt_trap -> ()
       | Cpu.Trapped trap -> Alcotest.failf "unexpected trap: %a" Cpu.pp_trap trap
-      | Cpu.Out_of_fuel -> Alcotest.fail "stale decode cache: patched loop never exited");
+      | Cpu.Out_of_fuel -> Alcotest.fail "stale code: patched loop never exited");
       Alcotest.(check int) "patched instruction executed" 42 (Cpu.reg loaded.Image.cpu 3))
     all_engines
 
@@ -304,7 +343,7 @@ let test_smc_injected_wrong_tag_faults () =
     all_engines
 
 let test_smc_host_store_invalidates () =
-  (* Warm the cache by running to halt, then overwrite the first
+  (* Compile the block by running to halt, then overwrite the first
      instruction from the host side and re-run. *)
   let loaded = load_source ~engine:Memory.Block "mov r1, #1\nhalt" in
   let { Image.cpu; memory; layout } = loaded in
@@ -319,6 +358,37 @@ let test_smc_host_store_invalidates () =
   | Cpu.Trapped Cpu.Halt_trap -> ()
   | _ -> Alcotest.fail "second run should halt");
   Alcotest.(check int) "patched value observed" 2 (Cpu.reg cpu 1)
+
+(* ------------------------------------------------------------------ *)
+(* Fetch at the segment edges                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A run from a pc whose instruction window is not fully mapped traps
+   at the first unmapped byte, with [Execute] access, under every
+   engine: from 4 bytes before the end and from the end itself at the
+   end, and from 8 bytes before the base at that address. It must
+   never let an OCaml exception out of [Cpu.run]. *)
+let test_fetch_at_segment_edges () =
+  let seg_base = 0x1000 and size = 0x10000 in
+  let seg_end = seg_base + size in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun (pc, addr) ->
+          let memory = Memory.create ~base:seg_base ~size in
+          Memory.set_engine memory engine;
+          let cpu = Cpu.create memory ~pc ~sp:seg_end in
+          let what = Printf.sprintf "%s, pc 0x%X" (Memory.engine_to_string engine) pc in
+          match Cpu.run cpu ~fuel:10 with
+          | Cpu.Trapped (Cpu.Fault_trap (Cpu.Segfault { addr = a; access = Memory.Execute }))
+            ->
+            Alcotest.(check int) (what ^ ": fault address") addr a;
+            Alcotest.(check int) (what ^ ": pc stays") pc (Cpu.pc cpu);
+            Alcotest.(check int) (what ^ ": nothing retired") 0 (Cpu.instructions_retired cpu)
+          | o -> Alcotest.failf "%s: expected an execute segfault, got %s" what
+                   (outcome_to_string o))
+        [ (seg_end - 4, seg_end); (seg_end, seg_end); (seg_base - 8, seg_base - 8) ])
+    all_engines
 
 (* ------------------------------------------------------------------ *)
 (* Page directory                                                      *)
@@ -442,10 +512,10 @@ let test_blocks_survive_data_rollback () =
   let recompiled, _, _ = Cpu.block_stats cpu in
   Alcotest.(check int) "the re-run compiles nothing" compiled recompiled
 
-(* Decoded state follows the code that runs, not the 1 MiB segment: once
-   the config4 server has served requests and parked on accept again,
-   each variant's decoded state spans at most 6 pages (about 17 KB of
-   code runs). *)
+(* The block registry follows the code that runs, not the 1 MiB
+   segment: once the config4 server has served requests and parked on
+   accept again, each variant's blocks span at most 6 pages (about
+   17 KB of code runs). *)
 let test_served_footprint_pages () =
   match Nv_httpd.Deploy.build Nv_httpd.Deploy.Two_variant_uid with
   | Error e -> Alcotest.fail e
@@ -458,7 +528,7 @@ let test_served_footprint_pages () =
     let monitor = Nv_core.Nsystem.monitor sys in
     for i = 0 to Nv_core.Monitor.variant_count monitor - 1 do
       let pages = Memory.decoded_pages (Nv_core.Monitor.loaded monitor i).Image.memory in
-      if pages > 6 then Alcotest.failf "variant %d: decoded state spans %d pages" i pages
+      if pages > 6 then Alcotest.failf "variant %d: blocks span %d pages" i pages
     done
 
 (* ------------------------------------------------------------------ *)
@@ -865,10 +935,10 @@ let prop_checkpoints_match_model =
 (* Pinned bench counters                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* These constants are the demand/monitor numbers of the committed
-   BENCH_results.json (bench report, 12 requests per configuration).
-   The fast path must not move them: they count guest-visible work
-   (instructions, rendezvous, checks), not host time. *)
+(* These constants are the demand/monitor numbers of the bench report
+   (12 requests per configuration). The fast paths must not move them:
+   they count guest-visible work (instructions, rendezvous, checks), not
+   host time. *)
 let pinned_bench config ~instructions ~demand_rendezvous ~monitor_rendezvous
     ~checks_performed =
   match Nv_httpd.Deploy.build config with
@@ -909,11 +979,14 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "cached vs reference interpreter (randomized)" `Quick
-            test_differential_random_programs;
+          Alcotest.test_case "fetch vs byte-at-a-time decode (randomized)" `Quick
+            test_fetch_matches_bytewise;
           Alcotest.test_case "reference vs block, sliced runs" `Quick
             test_differential_engines;
         ] );
+      ( "fetch",
+        [ Alcotest.test_case "faults at the segment edges" `Quick test_fetch_at_segment_edges ]
+      );
       ( "block properties",
         List.map QCheck_alcotest.to_alcotest
           [
