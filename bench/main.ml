@@ -751,14 +751,6 @@ let report_hostperf ?(path = "BENCH_results.json") () =
       ( "hostperf",
         Json.Obj
           [
-            ( "interpreter",
-              Json.Obj
-                [
-                  ("instructions", Json.Num (float_of_int interp_instr));
-                  ("reference_mips", Json.Num interp_ref);
-                  ("block_mips", Json.Num interp_block);
-                  ("speedup", Json.Num interp_speedup);
-                ] );
             ( "block",
               Json.Obj
                 [

@@ -1,7 +1,8 @@
 (* minicc: the mini-C compiler driver.
 
-   Compile, inspect (AST / disassembly / transformed variant source),
-   or run a program single-process on the simulated kernel. *)
+   Compile, inspect (AST / disassembly / transformed variant source /
+   inferred UID variables), or run a program as one variant through the
+   monitor, on the simulated kernel with a small /etc world. *)
 
 open Cmdliner
 
@@ -101,20 +102,26 @@ let run action file no_runtime =
       Printf.eprintf "%s: %s\n" file message;
       exit 2
     | image -> (
-      let kernel = Nv_os.Kernel.create ~variants:1 (standard_world ()) in
-      let runner = Nv_minic.Runner.create image kernel in
-      match Nv_minic.Runner.run runner with
-      | Nv_minic.Runner.Exited status ->
+      let sys =
+        Nv_core.Nsystem.of_one_image ~vfs:(standard_world ())
+          ~variation:Nv_core.Variation.single image
+      in
+      match Nv_core.Nsystem.run ~fuel:10_000_000 sys with
+      | Nv_core.Monitor.Exited status ->
+        let kernel = Nv_core.Nsystem.kernel sys in
         print_string (Nv_os.Kernel.stdout_contents kernel);
         prerr_string (Nv_os.Kernel.stderr_contents kernel);
         exit (status land 0xFF)
-      | Nv_minic.Runner.Faulted fault ->
+      | Nv_core.Monitor.Alarm (Nv_core.Alarm.Variant_fault { fault; _ }) ->
         Format.eprintf "fault: %a@." Nv_vm.Cpu.pp_fault fault;
         exit 139
-      | Nv_minic.Runner.Blocked_on_accept ->
+      | Nv_core.Monitor.Alarm reason ->
+        Format.eprintf "alarm: %a@." Nv_core.Alarm.pp reason;
+        exit 3
+      | Nv_core.Monitor.Blocked_on_accept ->
         prerr_endline "blocked on accept with no client";
         exit 4
-      | Nv_minic.Runner.Out_of_fuel ->
+      | Nv_core.Monitor.Out_of_fuel ->
         prerr_endline "out of fuel";
         exit 5))
 

@@ -74,8 +74,8 @@ type t = {
    a by-name lookup (they only occur on unknown-syscall attacks). *)
 let syscall_slots = 32
 
-let create ?metrics ?engine ?(segment_size = Variation.default_segment_size)
-    ?(stack_size = 64 * 1024) ~kernel ~variation images =
+let create ?metrics ?engine ?(segment_size = Variation.default_segment_size) ~kernel
+    ~variation images =
   let n = Variation.count variation in
   if Array.length images <> n then
     invalid_arg "Monitor.create: need exactly one image per variant";
@@ -87,8 +87,8 @@ let create ?metrics ?engine ?(segment_size = Variation.default_segment_size)
       (fun i image ->
         let spec = variation.Variation.variants.(i) in
         let loaded =
-          Image.load ~stack_size image ~base:spec.Variation.base ~size:segment_size
-            ~tag:spec.Variation.tag
+          Image.load ~stack_size:(64 * 1024) image ~base:spec.Variation.base
+            ~size:segment_size ~tag:spec.Variation.tag
         in
         (* Every variant runs the same execution tier; unset, segments
            keep their creation default (NV_ENGINE or the block engine). *)

@@ -37,7 +37,6 @@ val create :
   ?metrics:Nv_util.Metrics.t ->
   ?engine:Nv_vm.Memory.engine ->
   ?segment_size:int ->
-  ?stack_size:int ->
   kernel:Nv_os.Kernel.t ->
   variation:Variation.t ->
   Nv_vm.Image.t array ->
@@ -47,7 +46,8 @@ val create :
     unshared paths with the kernel. [images] must have exactly one
     image per variant (pass the same image several times for
     non-data-diversity variations); the kernel must have been created
-    with a matching [~variants] count. Default segment size 1 MiB.
+    with a matching [~variants] count. Default segment size 1 MiB; each
+    variant gets a 64 KiB stack.
     [metrics] is the registry the monitor reports into; by default it
     shares the kernel's, so one registry covers the whole system.
 

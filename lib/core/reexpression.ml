@@ -293,11 +293,10 @@ let rotation_only_family n =
   if n > 32 then invalid_arg "Reexpression.rotation_only_family: at most 32 rotations";
   Array.init n (fun i -> rotate ~k:i)
 
-let add_family ?(stride = 0x0100_0001) n =
+let add_family n =
   if n < 1 then invalid_arg "Reexpression.add_family: need at least one variant";
-  if low31 stride = 0 then invalid_arg "Reexpression.add_family: stride must be nonzero mod 2^31";
   assert_family "add_family"
-    (Array.init n (fun i -> add_mod31 ~offset:(i * stride)))
+    (Array.init n (fun i -> add_mod31 ~offset:(i * 0x0100_0001)))
 
 (* ------------------------------------------------------------------ *)
 

@@ -135,9 +135,9 @@ val rotation_only_family : int -> t array
     disjoint (every rotation fixes 0), shipped so the attack matrix
     can demonstrate the single-axis defeat. Not certified. *)
 
-val add_family : ?stride:int -> int -> t array
-(** Variant [i] is [add_mod31 ~offset:(i * stride)] (default stride
-    0x01000001); offsets are pairwise distinct mod [2^31]. *)
+val add_family : int -> t array
+(** Variant [i] is [add_mod31 ~offset:(i * 0x01000001)]; offsets are
+    pairwise distinct mod [2^31]. *)
 
 (** {1 Table 1} *)
 

@@ -46,7 +46,7 @@ let validate_bases ~who ~segment_size bases =
 
 type axis = Address | Tagging | Uid of Reexpression.t array
 
-let composed ?name ?(segment_size = default_segment_size) ?unshared ~n axes =
+let composed ?name ?(segment_size = default_segment_size) ~n axes =
   if n < 1 then invalid_arg "Variation.composed: need at least one variant";
   let has_address = List.mem Address axes in
   let has_tagging = List.mem Tagging axes in
@@ -82,12 +82,7 @@ let composed ?name ?(segment_size = default_segment_size) ?unshared ~n axes =
         (if parts = [] then "plain" else String.concat "+" parts)
         n
   in
-  let unshared =
-    match unshared with
-    | Some u -> u
-    | None ->
-      if uid_family = None then [] else [ "/etc/passwd"; "/etc/group" ]
-  in
+  let unshared = if uid_family = None then [] else [ "/etc/passwd"; "/etc/group" ] in
   {
     name;
     variants =

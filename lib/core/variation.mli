@@ -46,20 +46,18 @@ val default_segment_size : int
     reexpression [fam.(i)]. *)
 type axis = Address | Tagging | Uid of Reexpression.t array
 
-val composed : ?name:string -> ?segment_size:int -> ?unshared:string list ->
-  n:int -> axis list -> t
+val composed : ?name:string -> ?segment_size:int -> n:int -> axis list -> t
 (** Compose diversity axes over [n] variants. When [Address] is
     present the staggered bases are validated: every segment must fit
     the 32-bit space and no two may overlap ([Invalid_argument]
-    otherwise). [unshared] defaults to [/etc/passwd] and [/etc/group]
-    when a [Uid] axis is present, empty otherwise. Raises
+    otherwise). The unshared paths are [/etc/passwd] and [/etc/group]
+    when a [Uid] axis is present, none otherwise. Raises
     [Invalid_argument] if a [Uid] family has fewer than [n] entries or
     [n < 1]. *)
 
 val single : t
 (** One variant, no diversity: the unprotected baseline
-    (Configurations 1 and 2 of Table 3 when paired with the plain
-    runner semantics). *)
+    (Configurations 1 and 2 of Table 3, and [minicc]'s run action). *)
 
 val replicated : t
 (** Two identical variants (same base, no data diversity): isolates the

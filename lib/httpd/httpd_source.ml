@@ -1,9 +1,5 @@
 let url_buffer_size = 64
 
-let token_buffer_size = 32
-
-let worker_user = "www"
-
 (* The server proper. Note the declaration order of [urlbuf] and
    [worker_uid]: the code generator lays globals out in declaration
    order, so the UID sits directly after the overflowable buffer. *)

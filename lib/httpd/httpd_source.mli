@@ -35,9 +35,3 @@ val source : ?log_uid:bool -> unit -> string
 val url_buffer_size : int
 (** 64: the size of the vulnerable URL buffer; a URL of exactly this
     length zeroes [worker_uid]'s low byte. *)
-
-val token_buffer_size : int
-(** 32: the size of the vulnerable stack token buffer. *)
-
-val worker_user : string
-(** "www": the passwd entry the server drops privileges to. *)

@@ -143,34 +143,6 @@ let alu_of_binop = function
   | Ast.Shr -> Isa.Shr
   | _ -> fail "internal: not an ALU operation"
 
-let syscall_number name =
-  match name with
-  | "sys_exit" -> Syscall.sys_exit
-  | "sys_read" -> Syscall.sys_read
-  | "sys_write" -> Syscall.sys_write
-  | "sys_open" -> Syscall.sys_open
-  | "sys_close" -> Syscall.sys_close
-  | "sys_accept" -> Syscall.sys_accept
-  | "getuid" -> Syscall.sys_getuid
-  | "geteuid" -> Syscall.sys_geteuid
-  | "setuid" -> Syscall.sys_setuid
-  | "seteuid" -> Syscall.sys_seteuid
-  | "getgid" -> Syscall.sys_getgid
-  | "getegid" -> Syscall.sys_getegid
-  | "setgid" -> Syscall.sys_setgid
-  | "setegid" -> Syscall.sys_setegid
-  | "uid_value" -> Syscall.sys_uid_value
-  | "cond_chk" -> Syscall.sys_cond_chk
-  | "cc_eq" -> Syscall.sys_cc_eq
-  | "cc_neq" -> Syscall.sys_cc_neq
-  | "cc_lt" -> Syscall.sys_cc_lt
-  | "cc_leq" -> Syscall.sys_cc_leq
-  | "cc_gt" -> Syscall.sys_cc_gt
-  | "cc_geq" -> Syscall.sys_cc_geq
-  | _ -> -1
-
-let is_builtin name = syscall_number name >= 0
-
 (* Every gen_* leaves its result in r0 and preserves nothing else;
    intermediate values are kept on the guest stack. *)
 let rec gen_expr env (te : Tast.texpr) =
@@ -333,35 +305,28 @@ and gen_assign env tlv rhs =
 
 and gen_call env name args =
   let cg = env.cg in
-  if is_builtin name then begin
+  List.iter
+    (fun arg ->
+      gen_expr env arg;
+      emit cg (Isa.Push r0))
+    args;
+  let n = List.length args in
+  match Syscall.of_builtin name with
+  | Some (number, _) ->
     (* Arguments land in r1..r5; the syscall number in r0. *)
-    List.iter
-      (fun arg ->
-        gen_expr env arg;
-        emit cg (Isa.Push r0))
-      args;
-    let n = List.length args in
     for i = n downto 1 do
       emit cg (Isa.Pop i)
     done;
-    emit cg (Isa.Mov (r0, Isa.Imm (syscall_number name)));
+    emit cg (Isa.Mov (r0, Isa.Imm number));
     emit cg Isa.Syscall
-  end
-  else begin
-    List.iter
-      (fun arg ->
-        gen_expr env arg;
-        emit cg (Isa.Push r0))
-      args;
+  | None ->
     let label =
       match Hashtbl.find_opt cg.func_labels name with
       | Some l -> l
       | None -> fail "internal: call to unknown function %s" name
     in
     emit_fix cg (Isa.Call 0) (To_label label);
-    let n = List.length args in
     if n > 0 then emit cg (Isa.Binop (Isa.Add, sp, sp, Isa.Imm (4 * n)))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)

@@ -5,7 +5,7 @@
     [fp + 8 + 4*(n-1-i)]; results return in [r0]. The frame pointer is
     [r12], the stack pointer [r13]. Built-in functions (the syscall
     wrappers listed in {!Typecheck.builtins}) compile to the [syscall]
-    instruction with the ABI of {!Nv_os.Syscall}.
+    instruction, with the number {!Nv_os.Syscall.of_builtin} gives.
 
     Every global (and every interned string literal) gets a symbol in
     the produced image, which is how the attack library locates the

@@ -202,9 +202,3 @@ uid_t getpwnam_uid(char *name) {
 |}
 
 let with_runtime program = source ^ program
-
-let function_names =
-  [
-    "strlen"; "strcpy"; "strncpy"; "strcmp"; "strncmp"; "memcpy"; "memset"; "atoi";
-    "itoa"; "write_str"; "write_int"; "starts_with"; "find_char"; "getpwnam_uid";
-  ]

@@ -16,7 +16,3 @@ val source : string
 
 val with_runtime : string -> string
 (** [with_runtime program] is [source ^ program]. *)
-
-val function_names : string list
-(** Names defined by the runtime, for tests and the transformer's
-    change accounting. *)

@@ -10,31 +10,17 @@ exception Type_error of string
 let fail fmt = Printf.ksprintf (fun message -> raise (Type_error message)) fmt
 
 let builtins =
-  let open Ast in
-  [
-    ("sys_exit", ([ Tint ], Tint));
-    ("sys_read", ([ Tint; Tptr Tchar; Tint ], Tint));
-    ("sys_write", ([ Tint; Tptr Tchar; Tint ], Tint));
-    ("sys_open", ([ Tptr Tchar; Tint ], Tint));
-    ("sys_close", ([ Tint ], Tint));
-    ("sys_accept", ([ Tint ], Tint));
-    ("getuid", ([], Tuid));
-    ("geteuid", ([], Tuid));
-    ("setuid", ([ Tuid ], Tint));
-    ("seteuid", ([ Tuid ], Tint));
-    ("getgid", ([], Tuid));
-    ("getegid", ([], Tuid));
-    ("setgid", ([ Tuid ], Tint));
-    ("setegid", ([ Tuid ], Tint));
-    ("uid_value", ([ Tuid ], Tuid));
-    ("cond_chk", ([ Tint ], Tint));
-    ("cc_eq", ([ Tuid; Tuid ], Tint));
-    ("cc_neq", ([ Tuid; Tuid ], Tint));
-    ("cc_lt", ([ Tuid; Tuid ], Tint));
-    ("cc_leq", ([ Tuid; Tuid ], Tint));
-    ("cc_gt", ([ Tuid; Tuid ], Tint));
-    ("cc_geq", ([ Tuid; Tuid ], Tint));
-  ]
+  let module Syscall = Nv_os.Syscall in
+  let arg_ty = function
+    | Syscall.Int | Syscall.Len -> Ast.Tint
+    | Syscall.Uid -> Ast.Tuid
+    | Syscall.Ptr_string | Syscall.Ptr_out | Syscall.Ptr_in -> Ast.Tptr Ast.Tchar
+  in
+  let ret_ty = function Syscall.Ret_int -> Ast.Tint | Syscall.Ret_uid -> Ast.Tuid in
+  List.map
+    (fun (_, { Syscall.builtin; args; ret; _ }) ->
+      (builtin, (List.map arg_ty args, ret_ty ret)))
+    Syscall.all
 
 type env = {
   globals : (string, Ast.ty) Hashtbl.t;

@@ -22,7 +22,8 @@ val pp_error : Format.formatter -> error -> unit
 
 val builtins : (string * (Ast.ty list * Ast.ty)) list
 (** Built-in functions (syscall wrappers): name, parameter types,
-    return type. Includes the paper's Table 2 detection calls. *)
+    return type, one per row of {!Nv_os.Syscall.all} (so the paper's
+    Table 2 detection calls are included). *)
 
 val check : Ast.program -> (Tast.tprogram, error list) result
 (** Check and elaborate a program. All errors are collected (the

@@ -7,17 +7,20 @@ module VarSet = Set.Make (struct
 end)
 
 module StrSet = Set.Make (String)
+module Syscall = Nv_os.Syscall
 
-(* Built-in knowledge: which builtins return UIDs and which parameter
-   positions expect UIDs. *)
-let builtin_uid_returning =
-  StrSet.of_list [ "getuid"; "geteuid"; "getgid"; "getegid"; "uid_value" ]
+(* Built-in knowledge, read off the syscall table: which builtins
+   return UIDs and which parameter positions expect UIDs. *)
+let builtin_uid_returning name =
+  match Syscall.of_builtin name with
+  | Some (_, { Syscall.ret; _ }) -> ret = Syscall.Ret_uid
+  | None -> false
 
 let builtin_uid_params name =
-  match name with
-  | "setuid" | "seteuid" | "setgid" | "setegid" | "uid_value" -> [ 0 ]
-  | "cc_eq" | "cc_neq" | "cc_lt" | "cc_leq" | "cc_gt" | "cc_geq" -> [ 0; 1 ]
-  | _ -> []
+  match Syscall.of_builtin name with
+  | Some (_, { Syscall.args; _ }) ->
+    List.concat (List.mapi (fun i k -> if k = Syscall.Uid then [ i ] else []) args)
+  | None -> []
 
 type state = {
   mutable uid_vars : VarSet.t;
@@ -53,7 +56,7 @@ let resolve ~scope ~locals name =
 let rec is_uid_expr st ~scope ~locals (e : Ast.expr) =
   match e with
   | Ast.Var name -> VarSet.mem (resolve ~scope ~locals name) st.uid_vars
-  | Ast.Call (f, _) -> StrSet.mem f builtin_uid_returning || StrSet.mem f st.uid_returning
+  | Ast.Call (f, _) -> builtin_uid_returning f || StrSet.mem f st.uid_returning
   | Ast.Cast (Ast.Tuid, _) -> true
   | Ast.Assign (_, rhs) -> is_uid_expr st ~scope ~locals rhs
   | Ast.Int_lit _ | Ast.Char_lit _ | Ast.Str_lit _ | Ast.Unop _ | Ast.Binop _

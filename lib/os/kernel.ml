@@ -99,8 +99,6 @@ let metrics t = t.metrics
 
 let cred t = t.cred
 
-let set_cred t cred = t.cred <- cred
-
 let listener t = t.listener
 
 let connect t = Socket.connect t.listener
@@ -378,11 +376,6 @@ let sys_setegid t ~gid =
 
 let fd_is_unshared t ~fd =
   match slot t fd with Unshared _ -> true | Free | Shared _ -> false
-
-let conn_of_fd t ~fd =
-  match slot t fd with
-  | Shared (Dconn conn) -> Some conn
-  | Free | Shared _ | Unshared _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing                                                       *)

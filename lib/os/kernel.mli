@@ -36,7 +36,6 @@ val metrics : t -> Nv_util.Metrics.t
 val vfs : t -> Vfs.t
 val variants : t -> int
 val cred : t -> Cred.t
-val set_cred : t -> Cred.t -> unit
 
 val listener : t -> Socket.listener
 val connect : t -> Socket.conn
@@ -113,10 +112,6 @@ val fd_is_unshared : t -> fd:int -> bool
 (** Whether an open descriptor is backed by per-variant unshared files
     (the monitor uses this to decide between checking written bytes
     across variants and letting each variant write its own copy). *)
-
-val conn_of_fd : t -> fd:int -> Socket.conn option
-(** The connection behind a socket fd, if any (used by tests and the
-    workload driver). *)
 
 (** {1 Checkpointing}
 

@@ -1,9 +1,8 @@
 (** Marshalling between the VM's syscall trap state and kernel calls.
 
     The guest ABI puts the syscall number in [r0] and up to five
-    arguments in [r1]..[r5]; the result is written back to [r0]. These
-    helpers are shared by the single-variant runner and the N-variant
-    monitor. *)
+    arguments in [r1]..[r5]; the result is written back to [r0]. The
+    monitor marshals every call through these helpers. *)
 
 type raw = { number : int; args : Nv_vm.Word.t array }
 (** A trapped syscall as it appears in the registers; [args] always has

@@ -1,12 +1,20 @@
-(** System-call numbers, signatures and marshalling metadata.
+(** The guest system-call ABI, declared once.
 
-    The guest ABI: syscall number in [r0], arguments in [r1]..[r5], and
-    the result replaces [r0]. Pointer arguments are absolute guest
-    addresses; the monitor uses the {!arg_kind} metadata to read the
-    pointed-to data out of each variant's memory (canonicalizing
-    addresses to segment offsets for cross-variant comparison) and the
-    {!ret_kind} to know when a result is a UID that must be reexpressed
-    per variant on the way back (Section 3.5 of the paper).
+    A trapped call carries its number in [r0] and its arguments in
+    [r1]..[r5]; the result replaces [r0]. Pointer arguments are absolute
+    guest addresses. {!all} is the whole ABI: for each number, the
+    kernel name (metrics, traces, alarms), the mini-C builtin that
+    issues it, and its argument and result kinds. The mini-C front end
+    derives everything it knows about builtins from this table: their
+    types ([Typecheck.builtins]), the number the code generator emits,
+    and the UID-returning builtins and UID parameter positions that
+    [Uid_infer] seeds its analysis with.
+
+    The monitor's per-call checks are not derived from the kinds: they
+    live in [Monitor.dispatch], because some follow from no argument
+    kind (exit statuses and [cond_chk] values must agree) and some
+    depend on kernel state (buffer pointers on unshared descriptors
+    need not canonicalize to the same offset).
 
     Numbers 20..27 are the paper's {e detection system calls}
     (Table 2): they exist purely to expose user-space UID uses to the
@@ -43,27 +51,33 @@ val o_wronly : int (* 1: truncates *)
 val o_append : int (* 2 *)
 
 type arg_kind =
-  | Int  (** plain integer, compared verbatim across variants *)
-  | Uid  (** UID/GID in the variant's data representation *)
-  | Ptr_string  (** address of a NUL-terminated string (read in) *)
-  | Ptr_out  (** address of an output buffer (data written back) *)
+  | Int  (** plain integer ([int] in mini-C) *)
+  | Uid  (** UID/GID in the variant's data representation ([uid_t]) *)
+  | Ptr_string  (** address of a NUL-terminated string ([char*]) *)
+  | Ptr_out  (** address of an output buffer ([char*]) *)
   | Ptr_in  (** address of an input buffer, length in the next arg *)
-  | Len  (** byte count governing the preceding pointer *)
+  | Len  (** byte count governing the preceding pointer ([int]) *)
 
 type ret_kind =
   | Ret_int
-  | Ret_uid  (** result is a UID: reexpressed per variant on return *)
+  | Ret_uid  (** result is a UID, reexpressed per variant ([uid_t]) *)
 
-type signature = { name : string; args : arg_kind list; ret : ret_kind }
+type signature = {
+  name : string;  (** kernel name, as in [monitor.calls.<name>] *)
+  builtin : string;  (** the mini-C builtin that issues the call *)
+  args : arg_kind list;
+  ret : ret_kind;
+}
 
 val all : (number * signature) list
-(** The complete syscall table, in number order — the source of truth
-    tests iterate to check invariants over every defined syscall
-    (e.g. that every number fits the monitor's metric-handle fast
-    path). *)
+(** The complete syscall table, in number order. *)
 
 val signature : number -> signature option
 (** Metadata for a syscall number; [None] for unknown numbers. *)
+
+val of_builtin : string -> (number * signature) option
+(** The row whose mini-C builtin is the given name; [None] for any
+    other name. *)
 
 val name : number -> string
 (** Human-readable name; ["sys#N"] for unknown numbers. *)

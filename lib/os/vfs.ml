@@ -205,8 +205,6 @@ let read_range t ~path ~pos ~len =
 
 let exists t path = match find t path with Ok _ -> true | Error _ -> false
 
-let is_dir t path = match find t path with Ok (Dir _) -> true | Ok (File _) | Error _ -> false
-
 let stat t path =
   match find t path with Error _ as e -> e | Ok node -> Ok (node_attrs node)
 

@@ -63,7 +63,6 @@ val read_range : t -> path:string -> pos:int -> len:int -> (string, error) resul
     passwd file costs one lookup and one small copy per chunk. *)
 
 val exists : t -> string -> bool
-val is_dir : t -> string -> bool
 val stat : t -> string -> (attrs, error) result
 val list_dir : t -> string -> (string list, error) result
 (** Sorted entry names. *)

@@ -14,17 +14,6 @@ type report = {
   log_scrubs : int;
 }
 
-let empty_report =
-  {
-    constants = 0;
-    explications = 0;
-    uid_value_calls = 0;
-    cc_calls = 0;
-    cond_chks = 0;
-    reversed_comparisons = 0;
-    log_scrubs = 0;
-  }
-
 let total_changes r =
   r.constants + r.uid_value_calls + r.cc_calls + r.cond_chks + r.reversed_comparisons
   + r.log_scrubs

@@ -51,8 +51,6 @@ val total_changes : report -> int
 (** Sum of all categories except [explications] (an explication site is
     also a constant site, as in the paper's counting). *)
 
-val empty_report : report
-
 val pp_report : Format.formatter -> report -> unit
 
 val instrument :

@@ -67,8 +67,3 @@ let summarize xs =
     p99 = percentile_of_sorted sorted 99.0;
     max = sorted.(n - 1);
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f"
-    s.n s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max

@@ -25,5 +25,3 @@ val percentile : float array -> float -> float
 val summarize : float array -> summary
 (** Full summary (sorts once). Raises [Invalid_argument] on an empty
     array or any NaN input. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -34,8 +34,6 @@ let logor a b = a lor b
 
 let logxor a b = a lxor b
 
-let lognot a = mask (lnot a)
-
 let shift_left a n = mask (a lsl (n land 31))
 
 let shift_right_logical a n = a lsr (n land 31)

@@ -35,7 +35,6 @@ val rem_signed : t -> t -> t
 val logand : t -> t -> t
 val logor : t -> t -> t
 val logxor : t -> t -> t
-val lognot : t -> t
 
 val shift_left : t -> int -> t
 (** Shift amount is masked to [0..31], like x86. *)

@@ -8,18 +8,14 @@ type sample = {
   response_bytes : int;
 }
 
-let pp_sample ppf s =
-  Format.fprintf ppf "instr=%d rendezvous=%d req=%dB resp=%dB" s.instructions s.rendezvous
-    s.request_bytes s.response_bytes
-
-let profile ?(requests = 40) ?(seed = 7) ?(paths = Nv_httpd.Site.request_mix) sys =
+let profile ?(requests = 40) ?(seed = 7) sys =
   let prng = Nv_util.Prng.create ~seed in
   let monitor = Nsystem.monitor sys in
   let samples = ref [] in
   let rec loop i =
     if i >= requests then Ok (Array.of_list (List.rev !samples))
     else begin
-      let path = Nv_util.Prng.pick prng paths in
+      let path = Nv_util.Prng.pick prng Nv_httpd.Site.request_mix in
       let request = Nv_httpd.Http.get path in
       let instr0 = Monitor.instructions_retired monitor in
       let rdv0 = Monitor.rendezvous_count monitor in

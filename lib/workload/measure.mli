@@ -13,20 +13,17 @@ type sample = {
   response_bytes : int;
 }
 
-val pp_sample : Format.formatter -> sample -> unit
-
 val profile :
   ?requests:int ->
   ?seed:int ->
-  ?paths:string array ->
   Nv_core.Nsystem.t ->
   (sample array, string) result
 (** [profile sys] serves [requests] (default 40) requests drawn
-    deterministically from [paths] (default {!Nv_httpd.Site.request_mix})
-    and returns one sample per request. The first sample additionally
-    carries the server's startup work (passwd parsing); callers that
-    want steady-state numbers can drop it. Fails if the system alarms
-    or dies mid-profile. *)
+    deterministically from {!Nv_httpd.Site.request_mix} and returns one
+    sample per request. The first sample additionally carries the
+    server's startup work (passwd parsing); callers that want
+    steady-state numbers can drop it. Fails if the system alarms or
+    dies mid-profile. *)
 
 val mean_demand : sample array -> sample
 (** Arithmetic mean of each field (rounded). *)

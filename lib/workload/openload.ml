@@ -45,26 +45,13 @@ let passwd_world ~entries ~variation =
       Passwd.reexpressed_length ~f:spec.Nv_core.Variation.uid.Reexpression.encode entries)
     variation.Nv_core.Variation.variants
 
-let mean_service_s ?(cost = Cost_model.default) ~variants samples =
-  if Array.length samples = 0 then invalid_arg "Openload.mean_service_s: no samples";
-  let total =
-    Array.fold_left
-      (fun acc s ->
-        acc
-        +. Cost_model.cpu_seconds cost ~instructions:s.Measure.instructions
-             ~rendezvous:s.Measure.rendezvous ~variants)
-      0.0 samples
-  in
-  total /. float_of_int (Array.length samples)
-
 (* Charge the indexed uid lookup to the request at a nominal cost per
    key comparison — microscopic next to the monitor rendezvous cost,
    which is the point: with the linear scan it would be ~n/2 of these
    per request. *)
 let comparison_cost_s = 2.0e-8
 
-let run ?(seed = 11) ?(cost = Cost_model.default) ?(fleet = Fleet.default) ?metrics
-    ?trace ?population:prebuilt ~variants ~samples spec =
+let run ?(seed = 11) ?metrics ?trace ?population:prebuilt ~variants ~samples spec =
   if Array.length samples = 0 then invalid_arg "Openload.run: no samples";
   let pop =
     match prebuilt with Some p -> p | None -> population ~seed ~users:spec.users ()
@@ -88,7 +75,7 @@ let run ?(seed = 11) ?(cost = Cost_model.default) ?(fleet = Fleet.default) ?metr
     let spent = Passwd.comparisons idx - before in
     incr lookups;
     let service_s =
-      Cost_model.cpu_seconds cost ~instructions:sample.Measure.instructions
+      Cost_model.cpu_seconds Cost_model.default ~instructions:sample.Measure.instructions
         ~rendezvous:sample.Measure.rendezvous ~variants
       +. (float_of_int spent *. comparison_cost_s)
     in
@@ -101,7 +88,7 @@ let run ?(seed = 11) ?(cost = Cost_model.default) ?(fleet = Fleet.default) ?metr
   in
   let config =
     {
-      fleet with
+      Fleet.default with
       Fleet.replicas = spec.replicas;
       arrival = spec.arrival;
       duration_s = spec.duration_s;

@@ -49,15 +49,8 @@ val passwd_world :
     are the 62.8 MB and 71.0 MB unshared files the fleet's config4
     replicas would carry. *)
 
-val mean_service_s :
-  ?cost:Cost_model.t -> variants:int -> Measure.sample array -> float
-(** Mean core demand per request under the cost model — what a rate
-    choice should be calibrated against. *)
-
 val run :
   ?seed:int ->
-  ?cost:Cost_model.t ->
-  ?fleet:Nv_sim.Fleet.config ->
   ?metrics:Nv_util.Metrics.t ->
   ?trace:Nv_util.Trace.t ->
   ?population:population ->
@@ -66,12 +59,13 @@ val run :
   spec ->
   result
 (** Replay [samples] (cycled, as in {!Webbench}) through the fleet
-    described by [spec]. [fleet] supplies the non-[spec] knobs (pool
-    sizes, health-check timings — defaults {!Nv_sim.Fleet.default});
+    described by [spec]: {!Nv_sim.Fleet.default} supplies the
+    non-[spec] knobs (pool sizes, health-check timings), and
     [spec.replicas], [spec.arrival], [spec.duration_s] and [seed]
-    override it. Each arrival performs one indexed [find_uid] against
-    the passwd population ([population] when given, else {!population}
-    of [spec.users]); the comparisons it spends are charged to that
+    override it. Service times come from {!Cost_model.default}. Each
+    arrival performs one indexed [find_uid] against the passwd
+    population ([population] when given, else {!population} of
+    [spec.users]); the comparisons it spends are charged to that
     request's service time, and [result.comparisons] counts this run's
     alone even when [population] is shared with other runs.
     [trace] is handed to {!Nv_sim.Fleet.run} for flight-recorder rings.

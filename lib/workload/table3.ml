@@ -6,7 +6,7 @@ type row = { config : Deploy.config; demand : Measure.sample; cell : cell }
 
 let variants_of config = Nv_core.Variation.count (Deploy.variation config)
 
-let run ?(requests = 40) ?(seed = 7) ?(cost = Cost_model.default) () =
+let run ?(requests = 40) ?(seed = 7) () =
   let rec build = function
     | [] -> Ok []
     | config :: rest -> (
@@ -27,8 +27,8 @@ let run ?(requests = 40) ?(seed = 7) ?(cost = Cost_model.default) () =
           let variants = variants_of config in
           let cell =
             {
-              unsat = Webbench.run ~seed ~cost ~variants ~samples:steady Webbench.unsaturated;
-              sat = Webbench.run ~seed ~cost ~variants ~samples:steady Webbench.saturated;
+              unsat = Webbench.run ~seed ~variants ~samples:steady Webbench.unsaturated;
+              sat = Webbench.run ~seed ~variants ~samples:steady Webbench.saturated;
             }
           in
           let row = { config; demand = Measure.mean_demand steady; cell } in

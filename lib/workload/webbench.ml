@@ -24,7 +24,8 @@ let pp_result ppf r =
     r.requests_completed r.throughput_kb_s r.latency_ms r.latency_p50_ms r.latency_p99_ms
     (100.0 *. r.cpu_utilization) r.rendezvous_total
 
-let run ?(seed = 11) ?(cost = Cost_model.default) ~variants ~samples load =
+let run ?(seed = 11) ~variants ~samples load =
+  let cost = Cost_model.default in
   if Array.length samples = 0 then invalid_arg "Webbench.run: no samples";
   if load.clients < 1 then invalid_arg "Webbench.run: need at least one client";
   let engine = Engine.create () in

@@ -37,11 +37,10 @@ val pp_result : Format.formatter -> result -> unit
 
 val run :
   ?seed:int ->
-  ?cost:Cost_model.t ->
   variants:int ->
   samples:Measure.sample array ->
   load ->
   result
 (** Simulate the load against a server whose per-request demands are
     drawn (round-robin) from [samples], measured on a [variants]-variant
-    deployment. *)
+    deployment, with the {!Cost_model.default} host and network. *)

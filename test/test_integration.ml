@@ -446,10 +446,11 @@ let gen_uid_program =
        (String.concat "\n" stmts))
 
 let run_single source =
-  let kernel = Nv_os.Kernel.create ~variants:1 (Nsystem.standard_vfs ~variation:Variation.single ()) in
-  let image = Nv_minic.Codegen.compile_source source in
-  match Nv_minic.Runner.run (Nv_minic.Runner.create image kernel) with
-  | Nv_minic.Runner.Exited status -> Some status
+  let sys =
+    Nsystem.of_one_image ~variation:Variation.single (Nv_minic.Codegen.compile_source source)
+  in
+  match Nsystem.run ~fuel:10_000_000 sys with
+  | Monitor.Exited status -> Some status
   | _ -> None
 
 let run_protected source =

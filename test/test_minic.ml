@@ -1,11 +1,16 @@
 (* Tests for nv_minic: lexer, parser, pretty roundtrip, typechecker
    (uid_t discipline), codegen executed end-to-end on the simulated
-   kernel via Runner. *)
+   kernel as one variant through the monitor. *)
 
 open Nv_minic
 module Kernel = Nv_os.Kernel
 module Vfs = Nv_os.Vfs
 module Passwd = Nv_os.Passwd
+module Syscall = Nv_os.Syscall
+module Nsystem = Nv_core.Nsystem
+module Variation = Nv_core.Variation
+module Monitor = Nv_core.Monitor
+module Alarm = Nv_core.Alarm
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -287,26 +292,24 @@ let test_ty_global_initializers () =
 (* Codegen + execution                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let plain_kernel () =
+let plain_vfs () =
   let fs = Vfs.create () in
   Vfs.mkdir_p fs "/etc";
   Vfs.install fs ~path:"/etc/passwd" (Passwd.serialize Passwd.sample);
   Vfs.install fs ~path:"/etc/motd" "hello, world\n";
-  Kernel.create ~variants:1 fs
+  fs
 
-let run_main ?kernel source =
-  let kernel = match kernel with Some k -> k | None -> plain_kernel () in
+let run_main source =
   let image = Codegen.compile_source source in
-  let runner = Runner.create image kernel in
-  match Runner.run runner with
-  | Runner.Exited status -> (status, kernel, runner)
-  | Runner.Faulted fault ->
-    Alcotest.failf "program faulted: %a" Nv_vm.Cpu.pp_fault fault
-  | Runner.Blocked_on_accept -> Alcotest.fail "unexpected accept block"
-  | Runner.Out_of_fuel -> Alcotest.fail "out of fuel"
+  let sys = Nsystem.of_one_image ~vfs:(plain_vfs ()) ~variation:Variation.single image in
+  match Nsystem.run ~fuel:10_000_000 sys with
+  | Monitor.Exited status -> (status, Nsystem.kernel sys)
+  | Monitor.Alarm reason -> Alcotest.failf "program alarmed: %a" Alarm.pp reason
+  | Monitor.Blocked_on_accept -> Alcotest.fail "unexpected accept block"
+  | Monitor.Out_of_fuel -> Alcotest.fail "out of fuel"
 
 let exit_of source =
-  let status, _, _ = run_main source in
+  let status, _ = run_main source in
   status
 
 let test_gen_arith () =
@@ -454,7 +457,7 @@ let test_gen_syscall_io () =
           return 0;
         }|}
   in
-  let status, kernel, _ = run_main source in
+  let status, kernel = run_main source in
   Alcotest.(check int) "exit" 0 status;
   Alcotest.(check string) "echoed" "hello, world\n" (Kernel.stdout_contents kernel)
 
@@ -500,16 +503,15 @@ let test_gen_accept_resume () =
           return 0;
         }|}
   in
-  let kernel = plain_kernel () in
   let image = Codegen.compile_source source in
-  let runner = Runner.create image kernel in
-  (match Runner.run runner with
-  | Runner.Blocked_on_accept -> ()
+  let sys = Nsystem.of_one_image ~vfs:(plain_vfs ()) ~variation:Variation.single image in
+  (match Nsystem.run ~fuel:10_000_000 sys with
+  | Monitor.Blocked_on_accept -> ()
   | _ -> Alcotest.fail "expected block on accept");
-  let conn = Kernel.connect kernel in
+  let conn = Nsystem.connect sys in
   Nv_os.Socket.client_send conn "ping";
-  (match Runner.run runner with
-  | Runner.Exited 0 -> ()
+  (match Nsystem.run ~fuel:10_000_000 sys with
+  | Monitor.Exited 0 -> ()
   | _ -> Alcotest.fail "expected clean exit");
   Alcotest.(check string) "echoed" "echo:ping" (Nv_os.Socket.client_recv conn)
 
@@ -531,10 +533,38 @@ let test_gen_buffer_overflow_corrupts_neighbour () =
 
 let test_gen_wild_pointer_faults () =
   let image = Codegen.compile_source "int main(void) { int *p = (int*)3; return *p; }" in
-  let runner = Runner.create image (plain_kernel ()) in
-  match Runner.run runner with
-  | Runner.Faulted (Nv_vm.Cpu.Segfault _) -> ()
+  let sys = Nsystem.of_one_image ~vfs:(plain_vfs ()) ~variation:Variation.single image in
+  match Nsystem.run ~fuel:10_000_000 sys with
+  | Monitor.Alarm (Alarm.Variant_fault { fault = Nv_vm.Cpu.Segfault _; _ }) -> ()
   | _ -> Alcotest.fail "expected segfault"
+
+(* The ABI end to end: every row of the syscall table, called as its
+   mini-C builtin with arguments built from the row's kinds, must reach
+   the monitor as exactly one call of that row's name. [exit] ends the
+   run and [accept] parks; both are counted at the rendezvous. *)
+let test_gen_every_builtin_reaches_monitor () =
+  List.iter
+    (fun (_, { Syscall.name; builtin; args; _ }) ->
+      let arg = function
+        | Syscall.Int | Syscall.Len -> "0"
+        | Syscall.Uid -> "(uid_t)0"
+        | Syscall.Ptr_string -> {|"/etc/motd"|}
+        | Syscall.Ptr_out | Syscall.Ptr_in -> "buf"
+      in
+      let source =
+        Printf.sprintf "char buf[8]; int main(void) { %s(%s); return 0; }" builtin
+          (String.concat ", " (List.map arg args))
+      in
+      let sys =
+        Nsystem.of_one_image ~vfs:(plain_vfs ()) ~variation:Variation.single
+          (Codegen.compile_source source)
+      in
+      ignore (Nsystem.run ~fuel:100_000 sys);
+      Alcotest.(check (option int))
+        (Printf.sprintf "%s reaches monitor.calls.%s" builtin name)
+        (Some 1)
+        (Nv_util.Metrics.find_counter (Nsystem.metrics sys) ("monitor.calls." ^ name)))
+    Syscall.all
 
 let test_gen_missing_main () =
   match Codegen.compile_source "int helper(void) { return 0; }" with
@@ -822,6 +852,8 @@ let () =
           Alcotest.test_case "overflow corrupts neighbour" `Quick
             test_gen_buffer_overflow_corrupts_neighbour;
           Alcotest.test_case "wild pointer faults" `Quick test_gen_wild_pointer_faults;
+          Alcotest.test_case "every builtin reaches the monitor" `Quick
+            test_gen_every_builtin_reaches_monitor;
           Alcotest.test_case "missing main" `Quick test_gen_missing_main;
           Alcotest.test_case "symbols exported" `Quick test_gen_symbols_exported;
         ]
