@@ -344,7 +344,8 @@ let report_matrix ?(path = "BENCH_results.json") () =
   print_endline
     "recovered-vs-halted: every DETECTED cell above should flip to RECOVERED -\n\
      the supervisor rolls back to the last accept-boundary checkpoint, drops the\n\
-     attack connection and keeps serving instead of fail-stopping."
+     attack connection and keeps serving instead of fail-stopping. Faults written\n\
+     while the server is parked stay DETECTED: the checkpoint already holds them."
 
 (* ------------------------------------------------------------------ *)
 (* X3: ablation - cc_* syscalls vs user-space comparisons              *)

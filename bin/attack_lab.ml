@@ -34,7 +34,8 @@ let recover_arg =
         ~doc:
           "Deploy each system with a recovery supervisor (default budget): \
            detected attacks roll back and the server keeps serving, so cells \
-           report $(b,RECOVERED) instead of $(b,DETECTED).")
+           report $(b,RECOVERED) instead of $(b,DETECTED). Faults written while \
+           the server is parked stay $(b,DETECTED): the checkpoint holds them.")
 
 let forensics_arg =
   Arg.(

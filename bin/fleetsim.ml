@@ -79,13 +79,13 @@ let engine_arg =
            [
              ("reference", Nv_vm.Memory.Reference); ("block", Nv_vm.Memory.Block);
            ])
-        (Nv_vm.Memory.default_engine ())
+        Nv_vm.Memory.Block
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution tier the profiled server runs under: $(b,block) or \
            $(b,reference). The fleet report derives from engine-independent \
            instruction counts, so this only changes profiling wall-clock \
-           time. Defaults to $(b,NV_ENGINE), falling back to $(b,block).")
+           time. Defaults to $(b,block).")
 
 let metrics_arg =
   Arg.(

@@ -85,7 +85,7 @@ let engine_arg =
            [
              ("reference", Nv_vm.Memory.Reference); ("block", Nv_vm.Memory.Block);
            ])
-        (Nv_vm.Memory.default_engine ())
+        Nv_vm.Memory.Block
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution tier for every variant: $(b,block) (basic-block \
@@ -94,8 +94,7 @@ let engine_arg =
            alone, the differential oracle). Both are \
            observationally identical — same outcomes, alarms and instruction \
            counts — so pinning a tier is for differential debugging and \
-           performance comparison. Defaults to the $(b,NV_ENGINE) environment \
-           variable, falling back to $(b,block).")
+           performance comparison. Defaults to $(b,block).")
 
 let recover_arg =
   Arg.(

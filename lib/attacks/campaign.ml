@@ -275,16 +275,20 @@ let find name = List.find_opt (fun a -> a.name = name) attacks
    rollback absorbs it, the probe requests see a healthy server, and
    the attack classifies as harmless. Distinguish that from a
    genuinely effect-free attack by asking the supervisor whether it
-   had to intervene. *)
+   had to intervene. A fault written into memory while the server is
+   parked lands before the checkpoint taken at that park, so the
+   rollback keeps the corrupted word: the monitor did detect it, but
+   the UID is not intact, so the cell is DETECTED, not RECOVERED. *)
 let classify_with_supervisor sys verdict =
-  match (Nsystem.supervisor sys, verdict) with
-  | Some sup, No_effect when Nv_core.Supervisor.recoveries sup > 0 ->
-    Recovered
-      {
-        recoveries = Nv_core.Supervisor.recoveries sup;
-        last_alarm = Nv_core.Supervisor.last_alarm sup;
-      }
-  | _ -> verdict
+  match Nsystem.supervisor sys with
+  | Some sup when Nv_core.Supervisor.recoveries sup > 0 -> (
+    let last_alarm = Nv_core.Supervisor.last_alarm sup in
+    match (verdict, last_alarm) with
+    | No_effect, _ ->
+      Recovered { recoveries = Nv_core.Supervisor.recoveries sup; last_alarm }
+    | Corrupted_undetected, Some alarm -> Detected alarm
+    | _ -> verdict)
+  | Some _ | None -> verdict
 
 let run_attack ?recover attack config =
   match Deploy.build ?recover config with

@@ -78,7 +78,11 @@ val run_attack :
 (** Build the configuration fresh and run one attack. With [recover]
     the system carries a recovery supervisor; an attack it absorbs
     (rollback, connection dropped, server healthy afterwards)
-    classifies as {!Recovered} instead of halting as {!Detected}. *)
+    classifies as {!Recovered} instead of halting as {!Detected}. A
+    fault the supervisor rolled back but whose corrupted UID survived
+    the rollback (written while the server was parked, so the
+    checkpoint holds it) classifies as {!Detected} with the last
+    alarm. *)
 
 type traced = {
   verdict : verdict;

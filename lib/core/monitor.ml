@@ -5,7 +5,6 @@ module Image = Nv_vm.Image
 module Kernel = Nv_os.Kernel
 module Cred = Nv_os.Cred
 module Syscall = Nv_os.Syscall
-module Sysabi = Nv_os.Sysabi
 module Metrics = Nv_util.Metrics
 module Trace = Nv_util.Trace
 
@@ -91,7 +90,7 @@ let create ?metrics ?engine ?(segment_size = Variation.default_segment_size) ~ke
             ~size:segment_size ~tag:spec.Variation.tag
         in
         (* Every variant runs the same execution tier; unset, segments
-           keep their creation default (NV_ENGINE or the block engine). *)
+           keep their creation default, the block engine. *)
         Option.iter (Memory.set_engine loaded.Image.memory) engine;
         loaded)
       images
@@ -245,73 +244,92 @@ let fnv1a s =
   !h
 
 (* ------------------------------------------------------------------ *)
+(* Trapped registers and guest memory                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The guest ABI: the call number in r0, arguments [0..4] in r1..r5,
+   the result back in r0. *)
+let arg_reg index = index + 1
+
+let arg t i index = Cpu.reg t.variants.(i).Image.cpu (arg_reg index)
+
+(* Longest path the kernel reads from guest memory. *)
+let max_path = 4096
+
+(* Every access to variant [i]'s memory on the kernel's behalf goes
+   through here, so a bad pointer is always that variant's own fault. *)
+let in_guest t i f =
+  try f t.variants.(i).Image.memory
+  with Memory.Fault { addr; access } ->
+    raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } })
+
+(* [len] bytes at [addr], in one copy. *)
+let load_chunk t i ~addr ~len =
+  if len <= 0 then ""
+  else
+    (* [load_bytes] returns a fresh buffer that nothing else holds, so
+       it is never mutated after this conversion. *)
+    Bytes.unsafe_to_string (in_guest t i (fun m -> Memory.load_bytes m ~addr ~len))
+
+let store_chunk t i ~addr chunk =
+  if String.length chunk > 0 then
+    (* [store_bytes] only reads its source, so the chunk is not mutated
+       and one kernel chunk can be stored into every variant. *)
+    in_guest t i (fun m -> Memory.store_bytes m ~addr (Bytes.unsafe_of_string chunk))
+
+(* ------------------------------------------------------------------ *)
 (* Argument canonicalization                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The canon_* checks write each variant's canonical value into the
-   reused [canon_scratch] array (no allocation on the all-agree path);
-   the scratch is only copied out when a mismatch alarm needs it. *)
-let scratch_all_equal t =
+(* Each agreement check writes every variant's register [reg], mapped
+   by [canonical], into the reused [canon_scratch] array (no allocation
+   on the all-agree path); the scratch is only copied out when a
+   mismatch alarm needs it. *)
+let scratch_agrees t ~reg canonical =
   let scratch = t.canon_scratch in
+  for i = 0 to Array.length scratch - 1 do
+    scratch.(i) <- canonical i (Cpu.reg t.variants.(i).Image.cpu reg)
+  done;
   let ok = ref true in
   for i = 1 to Array.length scratch - 1 do
     if scratch.(i) <> scratch.(0) then ok := false
   done;
   !ok
 
-let check_scratch t ~syscall ~index =
+(* Argument [index] of each variant, mapped by [canonical], must agree;
+   returns the agreed value. *)
+let canon t ~syscall ~index canonical =
   check t
     ~fail:(fun () ->
       Alarm.Arg_mismatch { syscall; arg_index = index; values = Array.copy t.canon_scratch })
-    (scratch_all_equal t)
+    (scratch_agrees t ~reg:(arg_reg index) canonical);
+  t.canon_scratch.(0)
 
-(* Raw register argument [index] from each variant; must be identical. *)
-let canon_int t ~raws ~syscall ~index =
-  let scratch = t.canon_scratch in
-  Array.iteri (fun i (r : Sysabi.raw) -> scratch.(i) <- r.Sysabi.args.(index)) raws;
-  check_scratch t ~syscall ~index;
-  scratch.(0)
+let raw _ w = w
+
+(* Raw register argument: must be identical. *)
+let canon_int t ~syscall ~index = canon t ~syscall ~index raw
 
 (* UID argument: apply each variant's inverse reexpression, then check
    the canonical values agree (Section 3.5). *)
-let canon_uid t ~raws ~syscall ~index =
-  let scratch = t.canon_scratch in
-  Array.iteri
-    (fun i (r : Sysabi.raw) ->
-      scratch.(i) <- (uid_spec t i).Reexpression.decode r.Sysabi.args.(index))
-    raws;
-  check_scratch t ~syscall ~index;
-  scratch.(0)
+let canon_uid t ~syscall ~index =
+  canon t ~syscall ~index (fun i w -> (uid_spec t i).Reexpression.decode w)
 
-(* Pointer argument: canonicalize to a segment offset per variant. *)
-let canon_ptr t ~raws ~syscall ~index =
-  let scratch = t.canon_scratch in
-  Array.iteri
-    (fun i (r : Sysabi.raw) ->
-      let addr = r.Sysabi.args.(index) in
-      let memory = t.variants.(i).Image.memory in
-      match Memory.to_offset memory addr with
-      | offset -> scratch.(i) <- offset
-      | exception Memory.Fault { addr; access } ->
-        raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } }))
-    raws;
-  check_scratch t ~syscall ~index;
-  Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(index)) raws
+(* Pointer argument: must canonicalize to the same segment offset. Each
+   variant keeps its own address, [arg t i index]. *)
+let canon_ptr t ~syscall ~index =
+  let offset i addr = in_guest t i (fun m -> Memory.to_offset m addr) in
+  ignore (canon t ~syscall ~index offset)
 
 (* NUL-terminated string argument: contents must be identical. The
    failure diagnostic carries per-variant lengths and content digests
    so divergent contents are distinguishable from divergent lengths. *)
-let canon_string t ~raws ~syscall ~index =
-  let _ = canon_ptr t ~raws ~syscall ~index in
+let canon_string t ~syscall ~index =
+  canon_ptr t ~syscall ~index;
   let strings =
-    Array.mapi
-      (fun i (r : Sysabi.raw) ->
-        let memory = t.variants.(i).Image.memory in
-        match Sysabi.read_string memory ~addr:r.Sysabi.args.(index) with
-        | s -> s
-        | exception Memory.Fault { addr; access } ->
-          raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } }))
-      raws
+    Array.init (Array.length t.variants) (fun i ->
+        let addr = arg t i index in
+        in_guest t i (fun m -> Memory.load_cstring m ~addr ~max_len:max_path))
   in
   check t
     ~fail:(fun () ->
@@ -328,14 +346,14 @@ let canon_string t ~raws ~syscall ~index =
 (* Variant [i]'s syscall slice in the flight recorder: entered with its
    raw argument words before dispatch, exited with the result it gets.
    Stamped with the variant's own retired count, like its quanta. *)
-let trace_enter t raws =
+let trace_enter t =
   if Trace.enabled t.trace then
     Array.iteri
-      (fun i (r : Sysabi.raw) ->
-        Trace.record t.trace_variants.(i)
-          ~ts:(Cpu.instructions_retired t.variants.(i).Image.cpu)
-          (Trace.Syscall_enter { number = r.Sysabi.number; args = r.Sysabi.args }))
-      raws
+      (fun i v ->
+        let cpu = v.Image.cpu in
+        Trace.record t.trace_variants.(i) ~ts:(Cpu.instructions_retired cpu)
+          (Trace.Syscall_enter { number = Cpu.reg cpu 0; args = Array.init 5 (arg t i) }))
+      t.variants
 
 let trace_exit t ~syscall i result =
   if Trace.enabled t.trace then
@@ -344,12 +362,13 @@ let trace_exit t ~syscall i result =
       (Trace.Syscall_exit { number = syscall; result })
 
 let set_result t ~syscall i result =
-  Sysabi.set_result t.variants.(i).Image.cpu result;
+  Cpu.set_reg t.variants.(i).Image.cpu 0 result;
   trace_exit t ~syscall i result
 
-let deliver t ~syscall per_variant_results =
-  for i = 0 to Array.length per_variant_results - 1 do
-    set_result t ~syscall i per_variant_results.(i)
+(* Variant [i] gets [result_of i]. *)
+let deliver t ~syscall result_of =
+  for i = 0 to Array.length t.variants - 1 do
+    set_result t ~syscall i (result_of i)
   done
 
 let deliver_same t ~syscall result =
@@ -378,8 +397,8 @@ let trace t ~syscall text =
 (* Returns [None] to keep running, [Some outcome] to stop. [now_instr]
    is the caller's already-computed total of retired instructions, so
    the dispatch path does not re-fold over the variants. *)
-let dispatch t ~now_instr (raws : Sysabi.raw array) =
-  let syscall = raws.(0).Sysabi.number in
+let dispatch t ~now_instr =
+  let syscall = Cpu.reg t.variants.(0).Image.cpu 0 in
   if Trace.enabled t.trace then
     Trace.record t.trace_coord ~ts:now_instr (Trace.Rendezvous { number = syscall });
   Metrics.incr (call_counter t syscall);
@@ -390,98 +409,66 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     (float_of_int (now_instr - t.last_rendezvous_instr));
   t.last_rendezvous_instr <- now_instr;
   let k = t.kernel in
+  let n_variants = Array.length t.variants in
   let continue_ = None in
   match syscall with
   | n when n = Syscall.sys_exit ->
-    let statuses = Array.map (fun (r : Sysabi.raw) -> Word.to_signed r.Sysabi.args.(0)) raws in
+    let statuses = Array.init n_variants (fun i -> Word.to_signed (arg t i 0)) in
     check t ~fail:(fun () -> Alarm.Exit_mismatch { statuses }) (all_equal statuses);
     if notes_wanted t then
       trace t ~syscall (Printf.sprintf "exit(%d) checked across variants" statuses.(0));
     ignore (Kernel.sys_exit k ~status:statuses.(0));
     Some (Exited statuses.(0))
   | n when n = Syscall.sys_read ->
-    let fd = Word.to_signed (canon_int t ~raws ~syscall ~index:0) in
+    let fd = Word.to_signed (canon_int t ~syscall ~index:0) in
     (* For unshared descriptors each variant performs its own read on
        its own diversified file (Section 3.4), so buffer pointers are
        not required to canonicalize to the same offset — content
        lengths differ legitimately, and so may derived pointers. *)
-    let bufs =
-      if Kernel.fd_is_unshared k ~fd then
-        Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(1)) raws
-      else canon_ptr t ~raws ~syscall ~index:1
-    in
-    let len = Word.to_signed (canon_int t ~raws ~syscall ~index:2) in
+    if not (Kernel.fd_is_unshared k ~fd) then canon_ptr t ~syscall ~index:1;
+    let len = Word.to_signed (canon_int t ~syscall ~index:2) in
     let count, data = Kernel.sys_read k ~fd ~len in
-    (match data with
-    | Kernel.Shared_data bytes -> (
-      Metrics.add t.input_bytes_replicated_c (max 0 count);
-      match t.input_fault with
-      | Some perturb when count > 0 ->
-        (* Fault injection: each variant receives a possibly-perturbed
-           copy of the replicated input, with its own byte count. *)
+    (* Variant [i]'s chunk: its own copy of an unshared file, or the one
+       shared chunk, which fault injection may perturb per variant. *)
+    let chunks =
+      match data with
+      | Kernel.Per_variant chunks ->
         if notes_wanted t then
           trace t ~syscall
-            (Printf.sprintf "read(%d): %d bytes replicated with fault injection" fd count);
-        let chunks =
-          Array.init (Array.length t.variants) (fun i -> perturb ~variant:i bytes)
-        in
-        Array.iteri
-          (fun i buf ->
-            if String.length chunks.(i) > 0 then begin
-              try Sysabi.write_bytes t.variants.(i).Image.memory ~addr:buf chunks.(i)
-              with Memory.Fault { addr; access } ->
-                raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } })
-            end)
-          bufs;
-        deliver t ~syscall (Array.map (fun c -> Word.mask (String.length c)) chunks)
-      | Some _ | None ->
-        if notes_wanted t then
-          trace t ~syscall
-            (Printf.sprintf "read(%d): performed once, %d bytes replicated to all variants"
-               fd count);
-        Array.iteri
-          (fun i buf ->
-            if count > 0 then
-              try Sysabi.write_bytes t.variants.(i).Image.memory ~addr:buf bytes
-              with Memory.Fault { addr; access } ->
-                raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } }))
-          bufs;
-        deliver_same t ~syscall (Word.of_signed count))
-    | Kernel.Per_variant chunks ->
-      if notes_wanted t then
-        trace t ~syscall
-          (Printf.sprintf "read(%d): unshared file, each variant reads its own copy" fd);
-      Array.iteri
-        (fun i buf ->
-          let bytes = chunks.(i) in
-          if String.length bytes > 0 then begin
-            try Sysabi.write_bytes t.variants.(i).Image.memory ~addr:buf bytes
-            with Memory.Fault { addr; access } ->
-              raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } })
-          end)
-        bufs;
-      deliver t ~syscall (Array.map (fun c -> Word.mask (String.length c)) chunks));
+            (Printf.sprintf "read(%d): unshared file, each variant reads its own copy" fd);
+        chunks
+      | Kernel.Shared_data bytes -> (
+        Metrics.add t.input_bytes_replicated_c (max 0 count);
+        match t.input_fault with
+        | Some perturb when count > 0 ->
+          if notes_wanted t then
+            trace t ~syscall
+              (Printf.sprintf "read(%d): %d bytes replicated with fault injection" fd count);
+          Array.init n_variants (fun i -> perturb ~variant:i bytes)
+        | Some _ | None ->
+          if notes_wanted t then
+            trace t ~syscall
+              (Printf.sprintf "read(%d): performed once, %d bytes replicated to all variants"
+                 fd count);
+          Array.make n_variants bytes)
+    in
+    Array.iteri (fun i chunk -> store_chunk t i ~addr:(arg t i 1) chunk) chunks;
+    deliver t ~syscall (fun i ->
+        if count < 0 then Word.of_signed count else String.length chunks.(i));
     continue_
   | n when n = Syscall.sys_write ->
-    let fd = Word.to_signed (canon_int t ~raws ~syscall ~index:0) in
+    let fd = Word.to_signed (canon_int t ~syscall ~index:0) in
+    (* An unshared descriptor's variants each write their own copy, so
+       neither the buffer nor the length need agree; a shared one's
+       must, so that the bytes compared below are the call's. *)
     let unshared = Kernel.fd_is_unshared k ~fd in
-    let bufs =
-      if unshared then Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(1)) raws
-      else canon_ptr t ~raws ~syscall ~index:1
-    in
-    let lens =
-      if unshared then
-        Array.map (fun (r : Sysabi.raw) -> Word.to_signed r.Sysabi.args.(2)) raws
-      else
-        Array.make (Array.length raws) (Word.to_signed (canon_int t ~raws ~syscall ~index:2))
-    in
+    if not unshared then begin
+      canon_ptr t ~syscall ~index:1;
+      ignore (canon_int t ~syscall ~index:2)
+    end;
     let chunks =
-      Array.mapi
-        (fun i buf ->
-          try Sysabi.read_bytes t.variants.(i).Image.memory ~addr:buf ~len:lens.(i)
-          with Memory.Fault { addr; access } ->
-            raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } }))
-        bufs
+      Array.init n_variants (fun i ->
+          load_chunk t i ~addr:(arg t i 1) ~len:(Word.to_signed (arg t i 2)))
     in
     if unshared then begin
       if notes_wanted t then
@@ -503,8 +490,8 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     end;
     continue_
   | n when n = Syscall.sys_open ->
-    let path = canon_string t ~raws ~syscall ~index:0 in
-    let flags = Word.to_signed (canon_int t ~raws ~syscall ~index:1) in
+    let path = canon_string t ~syscall ~index:0 in
+    let flags = Word.to_signed (canon_int t ~syscall ~index:1) in
     if notes_wanted t then
       trace t ~syscall
         (if Kernel.is_unshared k path then
@@ -513,21 +500,23 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     deliver_same t ~syscall (Word.of_signed (Kernel.sys_open k ~path ~flags));
     continue_
   | n when n = Syscall.sys_close ->
-    let fd = Word.to_signed (canon_int t ~raws ~syscall ~index:0) in
+    let fd = Word.to_signed (canon_int t ~syscall ~index:0) in
     deliver_same t ~syscall (Word.of_signed (Kernel.sys_close k ~fd));
     continue_
   | n when n = Syscall.sys_accept ->
     (* The listening-fd argument is checked across variants like any
        other descriptor argument — a corrupted fd in one variant is a
        divergence, not something to silently ignore. *)
-    let listen_fd = Word.to_signed (canon_int t ~raws ~syscall ~index:0) in
+    let listen_fd = Word.to_signed (canon_int t ~syscall ~index:0) in
     let fd = Kernel.sys_accept k ~fd:listen_fd in
     if fd = Kernel.eagain then begin
-      (* Parked: the call is re-issued once a connection arrives, so
-         this slice closes here and the retry opens its own. *)
+      (* Parked: each pc is rewound onto its [syscall] instruction, so
+         the call is re-issued once a connection arrives; this slice
+         closes here and the retry opens its own. *)
       Array.iteri
         (fun i v ->
-          Sysabi.retry_syscall v.Image.cpu;
+          let cpu = v.Image.cpu in
+          Cpu.set_pc cpu (Cpu.pc cpu - Nv_vm.Isa.instr_size);
           trace_exit t ~syscall i fd)
         t.variants;
       Some Blocked_on_accept
@@ -547,19 +536,15 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       else if n = Syscall.sys_getgid then Kernel.sys_getgid k
       else Kernel.sys_getegid k
     in
-    let per_variant =
-      Array.init (Array.length t.variants) (fun i ->
-          (uid_spec t i).Reexpression.encode canonical)
-    in
     if notes_wanted t then
       trace t ~syscall
         (Format.asprintf "%s -> canonical %a, reexpressed per variant" (Syscall.name n)
            Word.pp canonical);
-    deliver t ~syscall per_variant;
+    deliver t ~syscall (fun i -> (uid_spec t i).Reexpression.encode canonical);
     continue_
   | n when n = Syscall.sys_setuid || n = Syscall.sys_seteuid || n = Syscall.sys_setgid
            || n = Syscall.sys_setegid ->
-    let canonical = canon_uid t ~raws ~syscall ~index:0 in
+    let canonical = canon_uid t ~syscall ~index:0 in
     let result =
       if n = Syscall.sys_setuid then Kernel.sys_setuid k ~uid:canonical
       else if n = Syscall.sys_seteuid then Kernel.sys_seteuid k ~uid:canonical
@@ -575,27 +560,29 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
   | n when n = Syscall.sys_uid_value ->
     (* Table 2: compare across variants (post-inverse), return the
        passed (still reexpressed) value to each variant. *)
-    let canonical = canon_uid t ~raws ~syscall ~index:0 in
+    let canonical = canon_uid t ~syscall ~index:0 in
     if notes_wanted t then
       trace t ~syscall
         (Format.asprintf "uid_value: canonical %a equivalent in all variants" Word.pp
            canonical);
-    deliver t ~syscall (Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(0)) raws);
+    deliver t ~syscall (fun i -> arg t i 0);
     continue_
   | n when n = Syscall.sys_cond_chk ->
     (* Table 2: condition values are plain booleans, identical in all
        variants or the variants are taking different paths. *)
-    let values = Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(0)) raws in
-    check t ~fail:(fun () -> Alarm.Cond_mismatch { values }) (all_equal values);
+    check t
+      ~fail:(fun () -> Alarm.Cond_mismatch { values = Array.copy t.canon_scratch })
+      (scratch_agrees t ~reg:(arg_reg 0) raw);
+    let value = t.canon_scratch.(0) in
     if notes_wanted t then
-      trace t ~syscall (Printf.sprintf "cond_chk(%d): paths agree" values.(0));
-    deliver_same t ~syscall values.(0);
+      trace t ~syscall (Printf.sprintf "cond_chk(%d): paths agree" value);
+    deliver_same t ~syscall value;
     continue_
   | n when Syscall.is_detection_call n ->
     (* cc_eq .. cc_geq: both UID arguments are decoded and checked,
        then the comparison is computed once on canonical values. *)
-    let a = canon_uid t ~raws ~syscall ~index:0 in
-    let b = canon_uid t ~raws ~syscall ~index:1 in
+    let a = canon_uid t ~syscall ~index:0 in
+    let b = canon_uid t ~syscall ~index:1 in
     let result =
       if n = Syscall.sys_cc_eq then a = b
       else if n = Syscall.sys_cc_neq then a <> b
@@ -820,11 +807,11 @@ let rendezvous t =
   | Some ({ mode = At_rendezvous; _ } as s) ->
     Array.iteri (fun i _ -> if not s.delivered.(i) then deliver_pending t s i) t.variants
   | Some _ | None -> ());
-  let raws = Array.map (fun v -> Sysabi.of_cpu v.Image.cpu) t.variants in
-  trace_enter t raws;
-  let numbers = Array.map (fun (r : Sysabi.raw) -> r.Sysabi.number) raws in
-  check t ~fail:(fun () -> Alarm.Syscall_mismatch { numbers }) (all_equal numbers);
-  dispatch t ~now_instr:(instructions_retired t) raws
+  trace_enter t;
+  check t
+    ~fail:(fun () -> Alarm.Syscall_mismatch { numbers = Array.copy t.canon_scratch })
+    (scratch_agrees t ~reg:0 raw);
+  dispatch t ~now_instr:(instructions_retired t)
 
 (* The run loop. Per round, every variant without a parked arrival runs
    one quantum to its next trap, in index order; the coordinator then

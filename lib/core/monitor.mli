@@ -53,8 +53,8 @@ val create :
 
     [engine] pins every variant segment's execution tier
     ({!Nv_vm.Memory.engine}: the [Block] compiler or the [Reference]
-    oracle); when omitted, segments keep their creation default
-    ([NV_ENGINE], otherwise [Block]). The two engines are
+    oracle); when omitted, segments keep their creation default,
+    [Block]. The two engines are
     bit-identical at the monitor level: same outcomes, alarms, final
     registers/memory, metric values and trace streams (enforced by
     [test/test_differential.ml]). *)

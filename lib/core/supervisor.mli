@@ -18,7 +18,7 @@
       degrading to the paper's fail-stop behaviour once exhausted.
 
     Recovery is bit-deterministic: runs under either execution engine
-    ([NV_ENGINE]) take identical checkpoints, roll back at identical
+    take identical checkpoints, roll back at identical
     points and produce identical metrics. *)
 
 type config = {

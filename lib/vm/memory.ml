@@ -69,20 +69,7 @@ type t = {
   mutable wm_hi : int;
 }
 
-let engine_of_string = function
-  | "reference" -> Some Reference
-  | "block" -> Some Block
-  | _ -> None
-
 let engine_to_string = function Reference -> "reference" | Block -> "block"
-
-(* NV_ENGINE pins the execution tier for a whole process (CI runs the
-   full test tree under NV_ENGINE=reference against the oracle); unset
-   or unknown values select the block compiler. *)
-let default_engine () =
-  match Option.bind (Sys.getenv_opt "NV_ENGINE") engine_of_string with
-  | Some e -> e
-  | None -> Block
 
 let create ~base ~size =
   if base < 0 || size < 0 || base + size > 0x1_0000_0000 then
@@ -95,7 +82,7 @@ let create ~base ~size =
     pages = Array.make page_count empty_page;
     clean = Array.make page_count (Bytes.make (1 lsl page_shift) '\000');
     dirty = Array.make page_count false;
-    engine = default_engine ();
+    engine = Block;
     block_invalidations = 0;
     wm_lo = max_int;
     wm_hi = -1;

@@ -89,7 +89,8 @@ val fetch : t -> int -> (int * Isa.t, Isa.decode_error) result
     the basic-block compiler (see [Block]), which falls back to
     single-stepping ([Cpu.step]) when no block is dispatchable, and
     that same stepping interpreter on its own, kept as the differential
-    oracle. The segment records which tier its CPU runs. *)
+    oracle. The segment records which tier its CPU runs; a new segment
+    starts on [Block]. *)
 
 type engine = Reference | Block
 
@@ -97,14 +98,7 @@ val set_engine : t -> engine -> unit
 
 val engine : t -> engine
 
-val engine_of_string : string -> engine option
-(** Parses ["reference" | "block"]. *)
-
 val engine_to_string : engine -> string
-
-val default_engine : unit -> engine
-(** The engine newly created segments start in: [NV_ENGINE] when set to
-    a recognized name, otherwise {!Block}. *)
 
 (** {1 Compiled-block registry}
 

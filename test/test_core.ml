@@ -1007,6 +1007,116 @@ let prop_trust_boundary =
         QCheck.Test.fail_reportf "reference: %s\nblock: %s" reference block;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Marshalling: guest memory the monitor reads and writes for a call    *)
+(* ------------------------------------------------------------------ *)
+
+(* [low_base + 0x100] is mapped in variant 0's segment only under
+   address partitioning. [near_end] is 16 bytes below the end of a
+   segment at [low_base]: under [replicated] both variants map it at
+   the same offset, so a 4 KiB transfer there passes the pointer check
+   and faults on the transfer itself. *)
+let variant0_only = Variation.low_base + 0x100
+
+let near_end = Variation.low_base + Variation.default_segment_size - 16
+
+let with_big_file variation =
+  let vfs = Nsystem.standard_vfs ~variation () in
+  Vfs.install vfs ~path:"/etc/big" (String.make (256 * 1024) 'x');
+  vfs
+
+let alarm_testable = Alcotest.testable Alarm.pp ( = )
+
+(* A bad pointer handed to the kernel is the variant's own segfault,
+   with the address and access of the first byte that missed, exactly
+   as the hardware would report it on a copy from or to user memory. *)
+let test_marshalled_faults_keep_payload () =
+  let segfault variant addr access =
+    Alarm.Variant_fault { variant; fault = Cpu.Segfault { addr; access } }
+  in
+  List.iter
+    (fun (name, variation, body, expected) ->
+      let source = Printf.sprintf "int main(void) { %s return 0; }" body in
+      let sys = system ~vfs:(with_big_file variation) ~variation source in
+      match Nsystem.run sys with
+      | Monitor.Alarm reason -> Alcotest.check alarm_testable name expected reason
+      | outcome -> Alcotest.failf "%s: %s instead of a fault" name (outcome_string outcome))
+    [
+      ( "write buffer canonicalization",
+        Variation.address_partition,
+        Printf.sprintf "sys_write(1, (char*)0x%X, 4);" variant0_only,
+        segfault 1 variant0_only Memory.Read );
+      ( "open path canonicalization",
+        Variation.address_partition,
+        Printf.sprintf "sys_open((char*)0x%X, 0);" variant0_only,
+        segfault 1 variant0_only Memory.Read );
+      ( "read store past the segment end",
+        Variation.replicated,
+        Printf.sprintf "int fd = sys_open(\"/etc/big\", 0); sys_read(fd, (char*)0x%X, 4096);"
+          near_end,
+        segfault 0 (near_end + 4095) Memory.Write );
+      ( "write load past the segment end",
+        Variation.replicated,
+        Printf.sprintf "sys_write(1, (char*)0x%X, 4096);" near_end,
+        segfault 0 (near_end + 4095) Memory.Read );
+    ]
+
+(* Host words allocated while [f] runs, each allocation counted once
+   (minor + major - promoted, with the minor heap emptied at both
+   ends). *)
+let allocated_words f =
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  f ();
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  Gc.(
+    s1.minor_words -. s0.minor_words
+    +. (s1.major_words -. s0.major_words)
+    -. (s1.promoted_words -. s0.promoted_words))
+
+(* Words allocated per call of a guest loop making [calls] identical
+   syscalls of [len] bytes, on [n] plain replicas. *)
+let words_per_call ~n ~calls ~call len =
+  let variation = Variation.composed ~n [] in
+  let source =
+    Printf.sprintf
+      {|char buf[4096];
+        int main(void) {
+          int fd = sys_open("/etc/big", 0);
+          int i = 0;
+          while (i < %d) { %s; i = i + 1; }
+          return 0;
+        }|}
+      calls (call len)
+  in
+  let sys = system ~vfs:(with_big_file variation) ~variation source in
+  let words = allocated_words (fun () -> expect_exit 0 (Nsystem.run sys)) in
+  words /. float_of_int calls
+
+(* A 4 KiB chunk is 513 words (512 of bytes, one header). Each crosses
+   between guest memory and the kernel with at most one copy per
+   variant: a write loads every variant's buffer once to compare them;
+   a shared read stores the kernel's one chunk into every variant. The
+   writes go to fd 0, the null device, which keeps nothing. *)
+let test_one_copy_per_chunk () =
+  let chunk_words = 513. and calls = 64 in
+  List.iter
+    (fun n ->
+      let per_call call =
+        words_per_call ~n ~calls ~call 4096 -. words_per_call ~n ~calls ~call 0
+      in
+      let write = per_call (Printf.sprintf "sys_write(0, buf, %d)") in
+      let read = per_call (Printf.sprintf "sys_read(fd, buf, %d)") in
+      let check what words bound =
+        if words > 1.1 *. bound then
+          Alcotest.failf "N=%d: a 4 KiB %s allocated %.0f words, more than 1.1 x %.0f" n what
+            words bound
+      in
+      check "write" write (float_of_int n *. chunk_words);
+      check "shared read" read chunk_words)
+    [ 2; 4 ]
+
 let () =
   Alcotest.run "nv_core"
     [
@@ -1104,4 +1214,10 @@ let () =
           Alcotest.test_case "out of fuel" `Quick test_out_of_fuel;
         ] );
       ("trust boundary", qsuite [ prop_trust_boundary ]);
+      ( "marshalling",
+        [
+          Alcotest.test_case "marshalled faults keep their payload" `Quick
+            test_marshalled_faults_keep_payload;
+          Alcotest.test_case "one copy per chunk" `Quick test_one_copy_per_chunk;
+        ] );
     ]

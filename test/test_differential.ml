@@ -8,8 +8,8 @@
    deliveries. test_perf.ml compares the engines on a bare CPU; this
    suite compares them through the syscall rendezvous, signals,
    rollback, the case-study server and the supervisor. Both systems name their
-   engine explicitly, so the comparison holds whatever [NV_ENGINE]
-   says. *)
+   engine explicitly; everywhere else a segment runs the block engine,
+   so suites like this one are where the reference engine runs. *)
 
 module Alarm = Nv_core.Alarm
 module Monitor = Nv_core.Monitor

@@ -368,6 +368,35 @@ let test_run_attack_recovered () =
   | Ok verdict -> Alcotest.failf "expected RECOVERED, got %s" (Campaign.verdict_label verdict)
   | Error e -> Alcotest.fail e
 
+(* A fault written while the server is parked on accept lands before
+   the checkpoint taken at that park, so the rollback keeps it: the
+   monitor detected it, but the UID is not intact. *)
+let test_run_attack_parked_fault_detected () =
+  let attack = find_attack "uid-bit-set-low" in
+  match
+    Campaign.run_attack ~recover:Supervisor.default_config attack
+      Deploy.Two_variant_uid
+  with
+  | Ok (Campaign.Detected (Alarm.Arg_mismatch { syscall; _ }))
+    when syscall = Nv_os.Syscall.sys_cc_eq ->
+    ()
+  | Ok verdict ->
+    Alcotest.failf "expected a cc_eq argument mismatch, got %a" Campaign.pp_verdict verdict
+  | Error e -> Alcotest.fail e
+
+(* A supervisor changes how a detected attack ends, never whether the
+   attacker won undetected. *)
+let test_recover_keeps_undetected_cells () =
+  let undetected matrix =
+    List.map
+      (fun (a, c, v) -> (a.Campaign.name, Deploy.name c, Campaign.verdict_label v))
+      (Campaign.undetected_cells matrix)
+  in
+  Alcotest.(check (list (triple string string string)))
+    "undetected cells"
+    (undetected (Campaign.run_matrix ()))
+    (undetected (Campaign.run_matrix ~recover:Supervisor.default_config ()))
+
 let test_run_attack_benign_not_recovered () =
   (* The control row must stay "no effect" even with a supervisor: no
      alarm, no rollback, no RECOVERED upgrade. *)
@@ -534,6 +563,10 @@ let () =
           Alcotest.test_case "null-overflow recovered" `Quick test_run_attack_recovered;
           Alcotest.test_case "baseline stays no-effect" `Quick
             test_run_attack_benign_not_recovered;
+          Alcotest.test_case "parked fault stays detected" `Quick
+            test_run_attack_parked_fault_detected;
+          Alcotest.test_case "recovery keeps undetected cells" `Quick
+            test_recover_keeps_undetected_cells;
         ] );
       ( "faultgen",
         [
