@@ -271,6 +271,27 @@ let load_chunk t i ~addr ~len =
        it is never mutated after this conversion. *)
     Bytes.unsafe_to_string (in_guest t i (fun m -> Memory.load_bytes m ~addr ~len))
 
+(* Whether every other variant holds variant 0's [chunk] at segment
+   offset [off] (where a shared write's buffers all sit), compared in
+   place. Every buffer is range checked, in index order, before any is
+   compared, so a bad pointer is its variant's fault even when an
+   earlier variant's bytes differ. An empty chunk reads nothing. *)
+let shared_chunk_agrees t ~off chunk =
+  let len = String.length chunk and n = Array.length t.variants in
+  let check m = Memory.check_span m ~addr:(Memory.base m + off) ~len Memory.Read in
+  let equal m = Memory.equal_bytes m ~addr:(Memory.base m + off) chunk in
+  len = 0
+  || begin
+       for i = 1 to n - 1 do
+         in_guest t i check
+       done;
+       let i = ref 1 in
+       while !i < n && in_guest t !i equal do
+         incr i
+       done;
+       !i = n
+     end
+
 let store_chunk t i ~addr chunk =
   if String.length chunk > 0 then
     (* [store_bytes] only reads its source, so the chunk is not mutated
@@ -315,17 +336,18 @@ let canon_int t ~syscall ~index = canon t ~syscall ~index raw
 let canon_uid t ~syscall ~index =
   canon t ~syscall ~index (fun i w -> (uid_spec t i).Reexpression.decode w)
 
-(* Pointer argument: must canonicalize to the same segment offset. Each
-   variant keeps its own address, [arg t i index]. *)
+(* Pointer argument: must canonicalize to the same segment offset,
+   which is returned. Each variant keeps its own address,
+   [arg t i index], its segment's base plus that offset. *)
 let canon_ptr t ~syscall ~index =
   let offset i addr = in_guest t i (fun m -> Memory.to_offset m addr) in
-  ignore (canon t ~syscall ~index offset)
+  canon t ~syscall ~index offset
 
 (* NUL-terminated string argument: contents must be identical. The
    failure diagnostic carries per-variant lengths and content digests
    so divergent contents are distinguishable from divergent lengths. *)
 let canon_string t ~syscall ~index =
-  canon_ptr t ~syscall ~index;
+  ignore (canon_ptr t ~syscall ~index);
   let strings =
     Array.init (Array.length t.variants) (fun i ->
         let addr = arg t i index in
@@ -425,7 +447,7 @@ let dispatch t ~now_instr =
        its own diversified file (Section 3.4), so buffer pointers are
        not required to canonicalize to the same offset — content
        lengths differ legitimately, and so may derived pointers. *)
-    if not (Kernel.fd_is_unshared k ~fd) then canon_ptr t ~syscall ~index:1;
+    if not (Kernel.fd_is_unshared k ~fd) then ignore (canon_ptr t ~syscall ~index:1);
     let len = Word.to_signed (canon_int t ~syscall ~index:2) in
     let count, data = Kernel.sys_read k ~fd ~len in
     (* Variant [i]'s chunk: its own copy of an unshared file, or the one
@@ -458,35 +480,32 @@ let dispatch t ~now_instr =
     continue_
   | n when n = Syscall.sys_write ->
     let fd = Word.to_signed (canon_int t ~syscall ~index:0) in
-    (* An unshared descriptor's variants each write their own copy, so
-       neither the buffer nor the length need agree; a shared one's
-       must, so that the bytes compared below are the call's. *)
-    let unshared = Kernel.fd_is_unshared k ~fd in
-    if not unshared then begin
-      canon_ptr t ~syscall ~index:1;
-      ignore (canon_int t ~syscall ~index:2)
-    end;
-    let chunks =
-      Array.init n_variants (fun i ->
-          load_chunk t i ~addr:(arg t i 1) ~len:(Word.to_signed (arg t i 2)))
-    in
-    if unshared then begin
+    if Kernel.fd_is_unshared k ~fd then begin
+      (* An unshared descriptor's variants each write their own copy, so
+         neither the buffer nor the length need agree. *)
+      let chunks =
+        Array.init n_variants (fun i ->
+            load_chunk t i ~addr:(arg t i 1) ~len:(Word.to_signed (arg t i 2)))
+      in
       if notes_wanted t then
         trace t ~syscall "write: unshared file, each variant writes its own copy";
       deliver_same t ~syscall (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Per_variant chunks)))
     end
     else begin
-      (if not (all_equal chunks) then
-         Logs.warn ~src:Nv_util.Logsrc.monitor (fun m ->
-             m "output divergence on fd %d" fd));
-      check t
-        ~fail:(fun () -> Alarm.Output_mismatch { syscall; fd })
-        (all_equal chunks);
+      (* A shared descriptor's buffer pointers and lengths must agree,
+         so that the bytes compared below are the call's. *)
+      let off = canon_ptr t ~syscall ~index:1 in
+      let len = Word.to_signed (canon_int t ~syscall ~index:2) in
+      let chunk = load_chunk t 0 ~addr:(arg t 0 1) ~len in
+      let same = shared_chunk_agrees t ~off chunk in
+      if not same then
+        Logs.warn ~src:Nv_util.Logsrc.monitor (fun m -> m "output divergence on fd %d" fd);
+      check t ~fail:(fun () -> Alarm.Output_mismatch { syscall; fd }) same;
       Metrics.incr t.output_writes_checked_c;
       if notes_wanted t then
         trace t ~syscall
           (Printf.sprintf "write(%d): bytes checked equal, performed once" fd);
-      deliver_same t ~syscall (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Shared_data chunks.(0))))
+      deliver_same t ~syscall (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Shared_data chunk)))
     end;
     continue_
   | n when n = Syscall.sys_open ->

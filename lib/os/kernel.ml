@@ -38,6 +38,7 @@ type t = {
   mutable open_fds : int;
   metrics : Metrics.t;
   calls_scope : Metrics.scope;
+  calls_by_number : Metrics.counter option array;
   syscalls_c : Metrics.counter;
   shared_bytes_in : Metrics.counter;
   shared_bytes_out : Metrics.counter;
@@ -47,6 +48,9 @@ type t = {
   fds_high_water : Metrics.gauge;
   mutable trace : (Nv_util.Trace.ring * (unit -> int)) option;
 }
+
+(* One [calls_by_number] slot per syscall number in the ABI table. *)
+let call_slots = 1 + List.fold_left (fun m (n, _) -> max m n) 0 Syscall.all
 
 let create ?metrics ?(fd_limit = 64) ~variants vfs =
   if variants < 1 then invalid_arg "Kernel.create: need at least one variant";
@@ -77,6 +81,7 @@ let create ?metrics ?(fd_limit = 64) ~variants vfs =
       open_fds = 4;
       metrics;
       calls_scope = Metrics.sub scope "calls";
+      calls_by_number = Array.make call_slots None;
       syscalls_c = Metrics.counter scope "syscalls";
       shared_bytes_in = Metrics.counter io_scope "shared_bytes_in";
       shared_bytes_out = Metrics.counter io_scope "shared_bytes_out";
@@ -117,16 +122,23 @@ let syscalls_executed t = t.syscalls
 
 let set_trace t ~ring ~clock = t.trace <- Some (ring, clock)
 
-let count t name =
+(* A call's [kernel.calls.<name>] counter is registered at its first
+   use, as a lookup by name would, and then kept by number. *)
+let count t n =
   t.syscalls <- t.syscalls + 1;
   Metrics.incr t.syscalls_c;
-  Metrics.incr (Metrics.counter t.calls_scope name);
+  (match t.calls_by_number.(n) with
+  | Some c -> Metrics.incr c
+  | None ->
+    let c = Metrics.counter t.calls_scope (Syscall.name n) in
+    t.calls_by_number.(n) <- Some c;
+    Metrics.incr c);
   match t.trace with
   | None -> ()
   | Some (ring, clock) ->
       if Nv_util.Trace.enabled_ring ring then
         Nv_util.Trace.record ring ~ts:(clock ())
-          (Nv_util.Trace.Kernel_call { name; seq = t.syscalls })
+          (Nv_util.Trace.Kernel_call { name = Syscall.name n; seq = t.syscalls })
 
 let fd_delta t delta =
   t.open_fds <- t.open_fds + delta;
@@ -149,7 +161,7 @@ let slot t fd = if fd < 0 || fd >= Array.length t.fds then Free else t.fds.(fd)
 (* ------------------------------------------------------------------ *)
 
 let sys_exit t ~status =
-  count t "exit";
+  count t Syscall.sys_exit;
   t.exit_status <- Some status;
   0
 
@@ -175,7 +187,7 @@ let make_desc t path flags access =
   Dfile { path; pos = 0; writable; append }
 
 let sys_open t ~path ~flags =
-  count t "open";
+  count t Syscall.sys_open;
   match alloc_fd t with
   | None -> err
   | Some fd ->
@@ -197,7 +209,7 @@ let sys_open t ~path ~flags =
     else err
 
 let sys_close t ~fd =
-  count t "close";
+  count t Syscall.sys_close;
   match slot t fd with
   | Free -> err
   | Shared Dlistener ->
@@ -241,7 +253,7 @@ let read_desc t desc len =
       Ok data)
 
 let sys_read t ~fd ~len =
-  count t "read";
+  count t Syscall.sys_read;
   let len = max 0 len in
   match slot t fd with
   | Free -> (Nv_vm.Word.to_signed err, Shared_data "")
@@ -301,7 +313,7 @@ let write_unshared t descs chunk_of =
   end
 
 let sys_write t ~fd ~data =
-  count t "write";
+  count t Syscall.sys_write;
   match (slot t fd, data) with
   | (Free, _) -> Nv_vm.Word.to_signed err
   | (Shared desc, Shared_data bytes) ->
@@ -321,7 +333,7 @@ let sys_write t ~fd ~data =
   | (Unshared _, Per_variant _) -> Nv_vm.Word.to_signed err
 
 let sys_accept t ~fd =
-  count t "accept";
+  count t Syscall.sys_accept;
   match slot t fd with
   | Shared Dlistener -> (
     match Socket.accept t.listener with
@@ -336,19 +348,19 @@ let sys_accept t ~fd =
   | Free | Shared _ | Unshared _ -> err
 
 let sys_getuid t =
-  count t "getuid";
+  count t Syscall.sys_getuid;
   t.cred.Cred.ruid
 
 let sys_geteuid t =
-  count t "geteuid";
+  count t Syscall.sys_geteuid;
   t.cred.Cred.euid
 
 let sys_getgid t =
-  count t "getgid";
+  count t Syscall.sys_getgid;
   t.cred.Cred.rgid
 
 let sys_getegid t =
-  count t "getegid";
+  count t Syscall.sys_getegid;
   t.cred.Cred.egid
 
 let apply_setid t result =
@@ -359,19 +371,19 @@ let apply_setid t result =
   | Error Cred.Eperm -> err
 
 let sys_setuid t ~uid =
-  count t "setuid";
+  count t Syscall.sys_setuid;
   apply_setid t (Cred.setuid t.cred uid)
 
 let sys_seteuid t ~uid =
-  count t "seteuid";
+  count t Syscall.sys_seteuid;
   apply_setid t (Cred.seteuid t.cred uid)
 
 let sys_setgid t ~gid =
-  count t "setgid";
+  count t Syscall.sys_setgid;
   apply_setid t (Cred.setgid t.cred gid)
 
 let sys_setegid t ~gid =
-  count t "setegid";
+  count t Syscall.sys_setegid;
   apply_setid t (Cred.setegid t.cred gid)
 
 let fd_is_unshared t ~fd =

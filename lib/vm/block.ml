@@ -14,6 +14,12 @@
    dispatcher only at a trap, a store into the running block, or an
    exit whose link is unset, stale or would overrun the fuel.
 
+   The operand-staging sequence the mini-C code generator emits for
+   every binary operator compiles to one closure (see
+   [compile_staging]), and no closure's fast path calls out of this
+   module: word arithmetic is defined here, and a store consults the
+   segment's page bytes before [Memory.invalidate_window].
+
    The observable semantics must match the stepping interpreter
    bit-for-bit — the monitor's signal-delivery slicing and the trace
    timestamps both key off exact retired counts — so the executor
@@ -147,13 +153,54 @@ let leave c st link ~len pc =
     c.pending <- link
   end
 
-(* Compile one instruction to a closure. Register indices come out of
-   the decoder already validated to [0, 15], so the register file is
-   accessed unsafely; every memory access, update order, and masking
-   step mirrors [Cpu.execute] exactly. *)
 (* r13 is the stack pointer, mirroring [Cpu.sp_index] (which lives
    above this module in the dependency order). *)
 let sp_index = 13
+
+(* Word arithmetic and the signed compare, exactly as [Word] defines
+   them. The closures call these rather than [Word] or [Isa]: dune's
+   default dev profile compiles every module with -opaque, which keeps
+   each call into another module out of line, and a closure runs once
+   per guest instruction. *)
+let mask w = w land 0xFFFFFFFF
+
+let add a b = mask (a + b)
+
+let sub a b = mask (a - b)
+
+let mul a b = mask (a * b)
+
+let to_signed w = (w lxor 0x80000000) - 0x80000000
+
+(* Flipping bit 31 maps the signed order onto the unsigned one. *)
+let lt_signed a b = a lxor 0x80000000 < b lxor 0x80000000
+
+(* [/] and [mod] raise [Division_by_zero] on a zero divisor, as
+   [Word.div_signed] and [Word.rem_signed] do. *)
+let div a b = mask (to_signed a / to_signed b)
+
+let rem a b = mask (to_signed a mod to_signed b)
+
+let shl a n = mask (a lsl (n land 31))
+
+let shr a n = a lsr (n land 31)
+
+let[@inline] sar a n = mask (to_signed a asr (n land 31))
+
+(* [Memory.page_shift], as a constant the store path shifts by. *)
+let page_shift = 12
+
+let () = assert (page_shift = Memory.page_shift)
+
+(* The bookkeeping after a compiled store of [len] bytes at segment
+   offset [o]. Stack and heap stores mostly land on settled pages
+   (already dirty, no block registry), where [Memory.invalidate_window]
+   would do nothing. *)
+let[@inline] note_store mem settled o len =
+  if
+    Bytes.unsafe_get settled (o lsr page_shift) = '\000'
+    || Bytes.unsafe_get settled ((o + len - 1) lsr page_shift) = '\000'
+  then Memory.invalidate_window mem o len
 
 (* Compile instruction [k] of a block into one link of a
    continuation-passing chain: the closure does its work and
@@ -166,7 +213,10 @@ let sp_index = 13
    register moves pay nothing.
    Terminators ignore [kont] and leave the block through [leave] (or
    trap). [len] is the full block length (what a completed block
-   retires). *)
+   retires). Register indices come out of the decoder already
+   validated to [0, 15], so the register file is accessed unsafely;
+   every memory access, update order, and masking step mirrors
+   [Cpu.execute] exactly. *)
 let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
   let sp = sp_index in
   (* Guest loads and stores are inlined over the backing bytes: the
@@ -175,7 +225,7 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
      range takes the [Memory] slow path, which raises the exact fault
      the interpreter would. Only those slow paths call [here] — the
      in-range fast path cannot raise. *)
-  let data = Memory.bytes mem in
+  let data = Memory.bytes mem and settled = Memory.settled_pages mem in
   let mbase = Memory.base mem in
   let msize = Memory.size mem in
   let here st ~stack =
@@ -200,7 +250,7 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
       kont st
   | Isa.Load (rd, rs, off) ->
     fun st ->
-      let addr = Word.mask (Array.unsafe_get regs rs + off) in
+      let addr = mask (Array.unsafe_get regs rs + off) in
       let o = addr - mbase in
       if o >= 0 && o + 4 <= msize then
         Array.unsafe_set regs rd (Int32.to_int (Bytes.get_int32_le data o) land 0xFFFFFFFF)
@@ -211,11 +261,11 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
       kont st
   | Isa.Store (rd, off, rs) ->
     fun st ->
-      let addr = Word.mask (Array.unsafe_get regs rd + off) in
+      let addr = mask (Array.unsafe_get regs rd + off) in
       let o = addr - mbase in
       if o >= 0 && o + 4 <= msize then begin
         Bytes.set_int32_le data o (Int32.of_int (Array.unsafe_get regs rs));
-        Memory.invalidate_window mem o 4
+        note_store mem settled o 4
       end
       else begin
         here st ~stack:false;
@@ -228,7 +278,7 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
       end
   | Isa.Loadb (rd, rs, off) ->
     fun st ->
-      let addr = Word.mask (Array.unsafe_get regs rs + off) in
+      let addr = mask (Array.unsafe_get regs rs + off) in
       let o = addr - mbase in
       if o >= 0 && o < msize then
         Array.unsafe_set regs rd (Char.code (Bytes.unsafe_get data o))
@@ -239,11 +289,11 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
       kont st
   | Isa.Storeb (rd, off, rs) ->
     fun st ->
-      let addr = Word.mask (Array.unsafe_get regs rd + off) in
+      let addr = mask (Array.unsafe_get regs rd + off) in
       let o = addr - mbase in
       if o >= 0 && o < msize then begin
         Bytes.unsafe_set data o (Char.unsafe_chr (Array.unsafe_get regs rs land 0xFF));
-        Memory.invalidate_window mem o 1
+        note_store mem settled o 1
       end
       else begin
         here st ~stack:false;
@@ -255,56 +305,55 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
         raise_notrace Invalidated
       end
   | Isa.Binop (op, rd, rs, o) -> (
-    let module W = Word in
     match (op, o) with
     | Isa.Add, Isa.Imm w ->
       fun st ->
-        Array.unsafe_set regs rd (W.add (Array.unsafe_get regs rs) w);
+        Array.unsafe_set regs rd (add (Array.unsafe_get regs rs) w);
         kont st
     | Isa.Add, Isa.Reg rt ->
       fun st ->
         Array.unsafe_set regs rd
-          (W.add (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
+          (add (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
         kont st
     | Isa.Sub, Isa.Imm w ->
       fun st ->
-        Array.unsafe_set regs rd (W.sub (Array.unsafe_get regs rs) w);
+        Array.unsafe_set regs rd (sub (Array.unsafe_get regs rs) w);
         kont st
     | Isa.Sub, Isa.Reg rt ->
       fun st ->
         Array.unsafe_set regs rd
-          (W.sub (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
+          (sub (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
         kont st
     | Isa.Mul, Isa.Imm w ->
       fun st ->
-        Array.unsafe_set regs rd (W.mul (Array.unsafe_get regs rs) w);
+        Array.unsafe_set regs rd (mul (Array.unsafe_get regs rs) w);
         kont st
     | Isa.Mul, Isa.Reg rt ->
       fun st ->
         Array.unsafe_set regs rd
-          (W.mul (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
+          (mul (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
         kont st
     | Isa.Div, Isa.Imm w ->
       fun st ->
         here st ~stack:false;
-        Array.unsafe_set regs rd (W.div_signed (Array.unsafe_get regs rs) w);
+        Array.unsafe_set regs rd (div (Array.unsafe_get regs rs) w);
         kont st
     | Isa.Div, Isa.Reg rt ->
       fun st ->
         here st ~stack:false;
         Array.unsafe_set regs rd
-          (W.div_signed (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
+          (div (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
         kont st
     | Isa.Mod, Isa.Imm w ->
       fun st ->
         here st ~stack:false;
-        Array.unsafe_set regs rd (W.rem_signed (Array.unsafe_get regs rs) w);
+        Array.unsafe_set regs rd (rem (Array.unsafe_get regs rs) w);
         kont st
     | Isa.Mod, Isa.Reg rt ->
       fun st ->
         here st ~stack:false;
         Array.unsafe_set regs rd
-          (W.rem_signed (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
+          (rem (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
         kont st
     | Isa.And, Isa.Imm w ->
       fun st ->
@@ -332,64 +381,90 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
         kont st
     | Isa.Shl, Isa.Imm w ->
       fun st ->
-        Array.unsafe_set regs rd (W.shift_left (Array.unsafe_get regs rs) w);
+        Array.unsafe_set regs rd (shl (Array.unsafe_get regs rs) w);
         kont st
     | Isa.Shl, Isa.Reg rt ->
       fun st ->
         Array.unsafe_set regs rd
-          (W.shift_left (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
+          (shl (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
         kont st
     | Isa.Shr, Isa.Imm w ->
       fun st ->
-        Array.unsafe_set regs rd (W.shift_right_logical (Array.unsafe_get regs rs) w);
+        Array.unsafe_set regs rd (shr (Array.unsafe_get regs rs) w);
         kont st
     | Isa.Shr, Isa.Reg rt ->
       fun st ->
         Array.unsafe_set regs rd
-          (W.shift_right_logical (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
+          (shr (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
         kont st
     | Isa.Sar, Isa.Imm w ->
       fun st ->
-        Array.unsafe_set regs rd (W.shift_right_arith (Array.unsafe_get regs rs) w);
+        Array.unsafe_set regs rd (sar (Array.unsafe_get regs rs) w);
         kont st
     | Isa.Sar, Isa.Reg rt ->
       fun st ->
         Array.unsafe_set regs rd
-          (W.shift_right_arith (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
+          (sar (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
         kont st)
-  | Isa.Setcc (cond, rd, rs, Isa.Imm w) ->
-    fun st ->
-      Array.unsafe_set regs rd
-        (if Isa.eval_cond cond (Array.unsafe_get regs rs) w then 1 else 0);
+  | Isa.Setcc (cond, rd, rs, Isa.Imm w) -> (
+    (* Specialized per condition, as [Br] is below. *)
+    let set st t =
+      Array.unsafe_set regs rd (Bool.to_int t);
       kont st
-  | Isa.Setcc (cond, rd, rs, Isa.Reg rt) ->
-    fun st ->
-      Array.unsafe_set regs rd
-        (if Isa.eval_cond cond (Array.unsafe_get regs rs) (Array.unsafe_get regs rt)
-         then 1
-         else 0);
+    in
+    match cond with
+    | Isa.Eq -> fun st -> set st (Array.unsafe_get regs rs = w)
+    | Isa.Ne -> fun st -> set st (Array.unsafe_get regs rs <> w)
+    | Isa.Lt -> fun st -> set st (lt_signed (Array.unsafe_get regs rs) w)
+    | Isa.Le -> fun st -> set st (not (lt_signed w (Array.unsafe_get regs rs)))
+    | Isa.Gt -> fun st -> set st (lt_signed w (Array.unsafe_get regs rs))
+    | Isa.Ge -> fun st -> set st (not (lt_signed (Array.unsafe_get regs rs) w))
+    | Isa.Ltu -> fun st -> set st (Array.unsafe_get regs rs < w)
+    | Isa.Leu -> fun st -> set st (Array.unsafe_get regs rs <= w)
+    | Isa.Gtu -> fun st -> set st (Array.unsafe_get regs rs > w)
+    | Isa.Geu -> fun st -> set st (Array.unsafe_get regs rs >= w))
+  | Isa.Setcc (cond, rd, rs, Isa.Reg rt) -> (
+    let set st t =
+      Array.unsafe_set regs rd (Bool.to_int t);
       kont st
+    in
+    match cond with
+    | Isa.Eq -> fun st -> set st (Array.unsafe_get regs rs = Array.unsafe_get regs rt)
+    | Isa.Ne -> fun st -> set st (Array.unsafe_get regs rs <> Array.unsafe_get regs rt)
+    | Isa.Lt ->
+      fun st -> set st (lt_signed (Array.unsafe_get regs rs) (Array.unsafe_get regs rt))
+    | Isa.Le ->
+      fun st ->
+        set st (not (lt_signed (Array.unsafe_get regs rt) (Array.unsafe_get regs rs)))
+    | Isa.Gt ->
+      fun st -> set st (lt_signed (Array.unsafe_get regs rt) (Array.unsafe_get regs rs))
+    | Isa.Ge ->
+      fun st ->
+        set st (not (lt_signed (Array.unsafe_get regs rs) (Array.unsafe_get regs rt)))
+    | Isa.Ltu -> fun st -> set st (Array.unsafe_get regs rs < Array.unsafe_get regs rt)
+    | Isa.Leu -> fun st -> set st (Array.unsafe_get regs rs <= Array.unsafe_get regs rt)
+    | Isa.Gtu -> fun st -> set st (Array.unsafe_get regs rs > Array.unsafe_get regs rt)
+    | Isa.Geu -> fun st -> set st (Array.unsafe_get regs rs >= Array.unsafe_get regs rt))
   | Isa.Br (cond, rs, rt, target) -> (
     (* The block's hottest terminator (every loop backedge): the
        condition is specialized at compile time so taking the branch
        costs two register loads and a compare, and each side leaves
        through its own link. *)
-    let module W = Word in
     let taken = ref unlinked and fall = ref unlinked in
     let take st t = if t then leave c st taken ~len target else leave c st fall ~len next in
     match cond with
     | Isa.Eq -> fun st -> take st (Array.unsafe_get regs rs = Array.unsafe_get regs rt)
     | Isa.Ne -> fun st -> take st (Array.unsafe_get regs rs <> Array.unsafe_get regs rt)
     | Isa.Lt ->
-      fun st -> take st (W.lt_signed (Array.unsafe_get regs rs) (Array.unsafe_get regs rt))
+      fun st -> take st (lt_signed (Array.unsafe_get regs rs) (Array.unsafe_get regs rt))
     | Isa.Le ->
       fun st ->
-        take st (not (W.lt_signed (Array.unsafe_get regs rt) (Array.unsafe_get regs rs)))
+        take st (not (lt_signed (Array.unsafe_get regs rt) (Array.unsafe_get regs rs)))
     | Isa.Gt ->
-      fun st -> take st (W.lt_signed (Array.unsafe_get regs rt) (Array.unsafe_get regs rs))
+      fun st -> take st (lt_signed (Array.unsafe_get regs rt) (Array.unsafe_get regs rs))
     | Isa.Ge ->
       fun st ->
-        take st (not (W.lt_signed (Array.unsafe_get regs rs) (Array.unsafe_get regs rt)))
+        take st (not (lt_signed (Array.unsafe_get regs rs) (Array.unsafe_get regs rt)))
     | Isa.Ltu ->
       fun st -> take st (Array.unsafe_get regs rs < Array.unsafe_get regs rt)
     | Isa.Leu ->
@@ -405,13 +480,13 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
     let link = ref unlinked in
     fun st -> leave c st link ~len (Array.unsafe_get regs rs)
   | Isa.Call target ->
-    let rnext = Word.mask next and link = ref unlinked in
+    let rnext = mask next and link = ref unlinked in
     fun st ->
-      let nsp = Word.sub (Array.unsafe_get regs sp) 4 in
+      let nsp = sub (Array.unsafe_get regs sp) 4 in
       let o = nsp - mbase in
       if o >= 0 && o + 4 <= msize then begin
         Bytes.set_int32_le data o (Int32.of_int rnext);
-        Memory.invalidate_window mem o 4
+        note_store mem settled o 4
       end
       else begin
         here st ~stack:true;
@@ -420,13 +495,13 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
       Array.unsafe_set regs sp nsp;
       leave c st link ~len target
   | Isa.Callr rs ->
-    let rnext = Word.mask next and link = ref unlinked in
+    let rnext = mask next and link = ref unlinked in
     fun st ->
-      let nsp = Word.sub (Array.unsafe_get regs sp) 4 in
+      let nsp = sub (Array.unsafe_get regs sp) 4 in
       let o = nsp - mbase in
       if o >= 0 && o + 4 <= msize then begin
         Bytes.set_int32_le data o (Int32.of_int rnext);
-        Memory.invalidate_window mem o 4
+        note_store mem settled o 4
       end
       else begin
         here st ~stack:true;
@@ -449,15 +524,15 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
           Memory.load_word mem osp
         end
       in
-      Array.unsafe_set regs sp (Word.add osp 4);
+      Array.unsafe_set regs sp (add osp 4);
       leave c st link ~len target
   | Isa.Push rs ->
     fun st ->
-      let nsp = Word.sub (Array.unsafe_get regs sp) 4 in
+      let nsp = sub (Array.unsafe_get regs sp) 4 in
       let o = nsp - mbase in
       if o >= 0 && o + 4 <= msize then begin
         Bytes.set_int32_le data o (Int32.of_int (Array.unsafe_get regs rs));
-        Memory.invalidate_window mem o 4
+        note_store mem settled o 4
       end
       else begin
         here st ~stack:true;
@@ -481,13 +556,156 @@ let compile_instr c regs mem valid instr ~k ~len ~at ~next ~kont =
       end;
       (* After the destination write, as the interpreter does: [pop r13]
          ends with sp+4, not the popped value. *)
-      Array.unsafe_set regs sp (Word.add osp 4);
+      Array.unsafe_set regs sp (add osp 4);
       kont st
   | Isa.Syscall ->
     fun st ->
       st.st_retired <- st.st_base + len;
       st.st_pc <- next;
       st.st_trap <- Some Syscall_trap
+
+(* The operand staging the mini-C code generator emits for every
+   binary operator:
+
+     push a; X; mov b, a; pop a; [op a, a, b]
+
+   where X puts the right operand in a: [mov a, #w], [ld a, [rs+off]]
+   or [ldb a, [rs+off]]. One closure runs the four instructions, and
+   the operator when one follows ([Setcc], or a [Binop] other than
+   div and mod, which can trap), specialized at compile time. The push
+   still stores a and does its page bookkeeping; the pop loads
+   nothing, since it would read back the word just pushed: a keeps its
+   value throughout, and b receives X's. The early exits are
+   [Cpu.step]'s: a faulting push retires nothing of the sequence, a
+   push into the running block retires alone and resumes through the
+   dispatcher, and a faulting X retires the push only, leaving a and b
+   as they were. Neither a nor b may be the stack pointer. *)
+let staged_operand ~a ~b = function
+  | Isa.Mov (d, Isa.Imm _) | Isa.Load (d, _, _) | Isa.Loadb (d, _, _) ->
+    d = a && a <> b && a <> sp_index && b <> sp_index
+  | _ -> false
+
+(* The operator that consumes the staged pair, when the next
+   instruction is one. *)
+let staging_tail ~a ~b = function
+  | (_, (Isa.Binop (op, d, s, Isa.Reg t) as tail)) :: rest
+    when d = a && s = a && t = b && op <> Isa.Div && op <> Isa.Mod ->
+    (Some tail, rest)
+  | (_, (Isa.Setcc (_, d, s, Isa.Reg t) as tail)) :: rest when d = a && s = a && t = b ->
+    (Some tail, rest)
+  | rest -> (None, rest)
+
+(* The staging sequence whose push is instruction [k] of its block, at
+   [at]; [kont] is the rest of the block. *)
+let compile_staging regs mem valid ~k ~at ~a ~b ~operand ~tail ~kont =
+  let data = Memory.bytes mem and settled = Memory.settled_pages mem in
+  let mbase = Memory.base mem and msize = Memory.size mem in
+  (* X is an immediate (width 0) or a load of [width] bytes. *)
+  let width, rs, off =
+    match operand with
+    | Isa.Mov (_, Isa.Imm w) -> (0, 0, w)
+    | Isa.Load (_, rs, off) -> (4, rs, off)
+    | Isa.Loadb (_, rs, off) -> (1, rs, off)
+    | _ -> invalid_arg "Block.compile_staging: not a staged operand"
+  in
+  (* Where the sequence raises: at the push ([j] = 0) or at X. *)
+  let stop st j ~stack =
+    st.st_k <- k + j;
+    st.st_pc <- at + (j * Isa.instr_size);
+    st.st_stack <- stack
+  in
+  (* The four instructions; returns the operand, now in b. *)
+  let[@inline] stage st =
+    let saved = Array.unsafe_get regs a in
+    let nsp = sub (Array.unsafe_get regs sp_index) 4 in
+    let o = nsp - mbase in
+    if o >= 0 && o + 4 <= msize then begin
+      Bytes.set_int32_le data o (Int32.of_int saved);
+      note_store mem settled o 4
+    end
+    else begin
+      stop st 0 ~stack:true;
+      Memory.store_word mem nsp saved
+    end;
+    Array.unsafe_set regs sp_index nsp;
+    if not !valid then begin
+      stop st 0 ~stack:true;
+      raise_notrace Invalidated
+    end;
+    let v =
+      if width = 0 then off
+      else begin
+        let addr = mask (Array.unsafe_get regs rs + off) in
+        let o = addr - mbase in
+        if width = 4 then
+          if o >= 0 && o + 4 <= msize then
+            Int32.to_int (Bytes.get_int32_le data o) land 0xFFFFFFFF
+          else begin
+            stop st 1 ~stack:false;
+            Memory.load_word mem addr
+          end
+        else if o >= 0 && o < msize then Char.code (Bytes.unsafe_get data o)
+        else begin
+          stop st 1 ~stack:false;
+          Memory.load_byte mem addr
+        end
+      end
+    in
+    Array.unsafe_set regs b v;
+    Array.unsafe_set regs sp_index (mask (nsp + 4));
+    v
+  in
+  (* The operator's left operand is a, which [stage] leaves alone, so it
+     may be read before or after it. *)
+  let set st x =
+    Array.unsafe_set regs a x;
+    kont st
+  in
+  let test st t = set st (Bool.to_int t) in
+  match tail with
+  | None ->
+    fun st ->
+      ignore (stage st);
+      kont st
+  | Some (Isa.Binop (Isa.Add, _, _, _)) ->
+    fun st -> set st (add (Array.unsafe_get regs a) (stage st))
+  | Some (Isa.Binop (Isa.Sub, _, _, _)) ->
+    fun st -> set st (sub (Array.unsafe_get regs a) (stage st))
+  | Some (Isa.Binop (Isa.Mul, _, _, _)) ->
+    fun st -> set st (mul (Array.unsafe_get regs a) (stage st))
+  | Some (Isa.Binop (Isa.And, _, _, _)) ->
+    fun st -> set st (Array.unsafe_get regs a land stage st)
+  | Some (Isa.Binop (Isa.Or, _, _, _)) ->
+    fun st -> set st (Array.unsafe_get regs a lor stage st)
+  | Some (Isa.Binop (Isa.Xor, _, _, _)) ->
+    fun st -> set st (Array.unsafe_get regs a lxor stage st)
+  | Some (Isa.Binop (Isa.Shl, _, _, _)) ->
+    fun st -> set st (shl (Array.unsafe_get regs a) (stage st))
+  | Some (Isa.Binop (Isa.Shr, _, _, _)) ->
+    fun st -> set st (shr (Array.unsafe_get regs a) (stage st))
+  | Some (Isa.Binop (Isa.Sar, _, _, _)) ->
+    fun st -> set st (sar (Array.unsafe_get regs a) (stage st))
+  | Some (Isa.Setcc (Isa.Eq, _, _, _)) ->
+    fun st -> test st (Array.unsafe_get regs a = stage st)
+  | Some (Isa.Setcc (Isa.Ne, _, _, _)) ->
+    fun st -> test st (Array.unsafe_get regs a <> stage st)
+  | Some (Isa.Setcc (Isa.Lt, _, _, _)) ->
+    fun st -> test st (lt_signed (Array.unsafe_get regs a) (stage st))
+  | Some (Isa.Setcc (Isa.Le, _, _, _)) ->
+    fun st -> test st (not (lt_signed (stage st) (Array.unsafe_get regs a)))
+  | Some (Isa.Setcc (Isa.Gt, _, _, _)) ->
+    fun st -> test st (lt_signed (stage st) (Array.unsafe_get regs a))
+  | Some (Isa.Setcc (Isa.Ge, _, _, _)) ->
+    fun st -> test st (not (lt_signed (Array.unsafe_get regs a) (stage st)))
+  | Some (Isa.Setcc (Isa.Ltu, _, _, _)) ->
+    fun st -> test st (Array.unsafe_get regs a < stage st)
+  | Some (Isa.Setcc (Isa.Leu, _, _, _)) ->
+    fun st -> test st (Array.unsafe_get regs a <= stage st)
+  | Some (Isa.Setcc (Isa.Gtu, _, _, _)) ->
+    fun st -> test st (Array.unsafe_get regs a > stage st)
+  | Some (Isa.Setcc (Isa.Geu, _, _, _)) ->
+    fun st -> test st (Array.unsafe_get regs a >= stage st)
+  | Some _ -> invalid_arg "Block.compile_staging: not a staging operator"
 
 (* Walk the decoder forward from the entry until the block closes:
    first control transfer (kept, as the block's last instruction), tag
@@ -537,6 +755,13 @@ let compile c ~slot =
        continuation directly. *)
     let rec build k = function
       | [] -> fin
+      | (_, Isa.Push a) :: (_, operand) :: (_, Isa.Mov (b, Isa.Reg a')) :: (_, Isa.Pop a'')
+        :: rest
+        when a' = a && a'' = a && staged_operand ~a ~b operand ->
+        let tail, rest = staging_tail ~a ~b rest in
+        let kont = build (k + if Option.is_none tail then 4 else 5) rest in
+        compile_staging c.regs c.mem valid ~k ~at:(entry_addr + (k * Isa.instr_size)) ~a ~b
+          ~operand ~tail ~kont
       | (_, instr) :: rest ->
         let kont = build (k + 1) rest in
         let at = entry_addr + (k * Isa.instr_size) in

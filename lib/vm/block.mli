@@ -26,6 +26,23 @@
     fails one of those tests; the dispatcher's next {!find} then points
     that link at the block it finds.
 
+    The operand staging the mini-C code generator emits for every
+    binary operator, [push a; X; mov b, a; pop a] with X one of
+    [mov a, #w], [ld a, [rs+off]] and [ldb a, [rs+off]] ([a <> b],
+    neither r13), compiles to one closure, together with a following
+    [op a, a, b] ([setcc], or a binop other than div/mod), specialized
+    per operator. It performs the push's store and page bookkeeping,
+    passes the pushed value on instead of loading it back, and retires
+    the same 4 or 5 instructions; a faulting push retires none of them,
+    a push into the running block retires alone and resumes through
+    the dispatcher, and a faulting X retires the push only.
+
+    No closure's fast path calls out of this module: word arithmetic
+    and the signed compare are defined here (dune's default dev profile
+    compiles with [-opaque], which keeps cross-module calls out of
+    line), and a store calls {!Memory.invalidate_window} only when a
+    page it touches is not settled ({!Memory.settled_pages}).
+
     Observable semantics are bit-identical to the stepping
     interpreter: retired counts advance per instruction, faults leave
     registers and pc exactly as {!Cpu.step} would, and a block is only

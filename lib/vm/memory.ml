@@ -59,14 +59,13 @@ type t = {
      matches a page it did not hand over. *)
   clean : Bytes.t array;
   dirty : bool array;
+  (* One byte per page, nonzero exactly while [dirty.(i)] is set and
+     [pages.(i)] is [empty_page]: a store into such a page has no
+     bookkeeping left to do, which compiled stores test before calling
+     [invalidate_window]. *)
+  settled : Bytes.t;
   mutable engine : engine;
   mutable block_invalidations : int;
-  (* Watermark of slots ever registered (empty when [wm_hi < wm_lo]).
-     Registered blocks only ever span slots inside it, so a store outside
-     the watermark (stack and heap traffic, the overwhelmingly common
-     case) skips all invalidation with two compares. *)
-  mutable wm_lo : int;
-  mutable wm_hi : int;
 }
 
 let engine_to_string = function Reference -> "reference" | Block -> "block"
@@ -82,10 +81,9 @@ let create ~base ~size =
     pages = Array.make page_count empty_page;
     clean = Array.make page_count (Bytes.make (1 lsl page_shift) '\000');
     dirty = Array.make page_count false;
+    settled = Bytes.make page_count '\000';
     engine = Block;
     block_invalidations = 0;
-    wm_lo = max_int;
-    wm_hi = -1;
   }
 
 let base t = t.base
@@ -138,6 +136,7 @@ let writable_page t slot =
       { entries = Array.make page_slots no_entry; cover = Array.make page_slots 0 }
     in
     t.pages.(slot lsr page_slot_shift) <- p;
+    Bytes.set t.settled (slot lsr page_slot_shift) '\000';
     p
   end
 
@@ -183,38 +182,37 @@ let register_block t ~slot ~slots ~valid code =
   for s = slot to slot + slots - 1 do
     let p = writable_page t s in
     p.cover.(s land page_mask) <- p.cover.(s land page_mask) + 1
-  done;
-  (* The store path only looks at slots inside the watermark. *)
-  if slot < t.wm_lo then t.wm_lo <- slot;
-  if slot + slots - 1 > t.wm_hi then t.wm_hi <- slot + slots - 1
+  done
 
 (* Store-side maintenance for a write of [len] bytes at segment offset
    [off]: mark the overlapped pages dirty for the next checkpoint and
    invalidate every registered block whose span intersects the write.
-   The cover counts make the no-block case (every store into plain data)
-   one directory load per slot; only when a store actually lands under a
-   compiled block do we back-scan the bounded window of entry slots that
-   could span it. *)
+   Only pages with a block registry have cover counts to scan, so a
+   store into plain data costs one directory load per page; only when a
+   store actually lands under a compiled block do we back-scan the
+   bounded window of entry slots that could span it. *)
 let invalidate_window t off len =
+  let lo = off lsr instr_shift and hi = (off + len - 1) lsr instr_shift in
+  let covered = ref false in
   for p = off lsr page_shift to (off + len - 1) lsr page_shift do
-    t.dirty.(p) <- true
-  done;
-  let lo = off lsr instr_shift in
-  let hi = (off + len - 1) lsr instr_shift in
-  if lo <= t.wm_hi && hi >= t.wm_lo then begin
-    let covered = ref false in
-    for s = lo to hi do
-      if (page_of t s).cover.(s land page_mask) > 0 then covered := true
-    done;
-    if !covered then
-      for e = max 0 (lo - max_block_slots + 1) to hi do
-        let entry = (page_of t e).entries.(e land page_mask) in
-        if entry != no_entry && entry.be_end > lo then begin
-          unregister t e;
-          t.block_invalidations <- t.block_invalidations + 1
-        end
+    t.dirty.(p) <- true;
+    let page = t.pages.(p) in
+    if page == empty_page then Bytes.set t.settled p '\001'
+    else begin
+      let first = p lsl page_slot_shift in
+      for s = Int.max lo first to Int.min hi (first + page_mask) do
+        if page.cover.(s land page_mask) > 0 then covered := true
       done
-  end
+    end
+  done;
+  if !covered then
+    for e = max 0 (lo - max_block_slots + 1) to hi do
+      let entry = (page_of t e).entries.(e land page_mask) in
+      if entry != no_entry && entry.be_end > lo then begin
+        unregister t e;
+        t.block_invalidations <- t.block_invalidations + 1
+      end
+    done
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing                                                       *)
@@ -231,7 +229,8 @@ let snapshot t =
     (fun i dirty ->
       if dirty then begin
         t.clean.(i) <- Bytes.sub t.data (i lsl page_shift) (page_length t i);
-        t.dirty.(i) <- false
+        t.dirty.(i) <- false;
+        Bytes.set t.settled i '\000'
       end)
     t.dirty;
   { snap_size = t.size; snap_pages = Array.copy t.clean }
@@ -252,7 +251,8 @@ let restore t snap =
         invalidate_window t off len;
         t.pages.(i) <- empty_page;
         t.clean.(i) <- page;
-        t.dirty.(i) <- false
+        t.dirty.(i) <- false;
+        Bytes.set t.settled i '\000'
       end)
     snap.snap_pages
 
@@ -277,16 +277,36 @@ let store_word t addr w =
   Bytes.set_int32_le t.data off (Int32.of_int w);
   invalidate_window t off 4
 
+let check_span t ~addr ~len access =
+  check t addr access;
+  if len > 0 then check t (addr + len - 1) access
+
 let load_bytes t ~addr ~len =
   if len < 0 then invalid_arg "Memory.load_bytes: negative length";
-  check t addr Read;
-  if len > 0 then check t (addr + len - 1) Read;
+  check_span t ~addr ~len Read;
   Bytes.sub t.data (addr - t.base) len
+
+let equal_bytes t ~addr s =
+  let len = String.length s in
+  check_span t ~addr ~len Read;
+  let off = addr - t.base in
+  (* Eight bytes at a time, then byte by byte from the first word that
+     differs or the tail; nothing is allocated. *)
+  let i = ref 0 in
+  while
+    !i + 8 <= len
+    && (Bytes.get_int64_le t.data (off + !i) : int64) = String.get_int64_le s !i
+  do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.get t.data (off + !i) = s.[!i] do
+    incr i
+  done;
+  !i = len
 
 let store_bytes t ~addr data =
   let len = Bytes.length data in
-  check t addr Write;
-  if len > 0 then check t (addr + len - 1) Write;
+  check_span t ~addr ~len Write;
   let off = addr - t.base in
   Bytes.blit data 0 t.data off len;
   if len > 0 then invalidate_window t off len
@@ -332,3 +352,5 @@ let fetch t addr =
 (* ------------------------------------------------------------------ *)
 
 let bytes t = t.data
+
+let settled_pages t = t.settled

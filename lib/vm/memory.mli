@@ -62,7 +62,19 @@ val load_word : t -> int -> Word.t
 
 val store_word : t -> int -> Word.t -> unit
 
+val check_span : t -> addr:int -> len:int -> access -> unit
+(** Check a [len]-byte span at [addr] as {!load_bytes}, {!equal_bytes}
+    ([Read]) and {!store_bytes} ([Write]) do: raise {!Fault} at [addr]
+    when it is unmapped, otherwise at the span's last byte when that
+    is. With [len = 0] only [addr] is checked. *)
+
 val load_bytes : t -> addr:int -> len:int -> bytes
+
+val equal_bytes : t -> addr:int -> string -> bool
+(** Whether the guest bytes at [addr] equal the string, compared in
+    place: nothing is copied or allocated. Faults as {!load_bytes} of
+    the same length would. *)
+
 val store_bytes : t -> addr:int -> bytes -> unit
 
 val load_cstring : t -> addr:int -> max_len:int -> string
@@ -145,9 +157,9 @@ val block_invalidations : t -> int
 
     Compiled blocks inline their guest loads and stores directly over
     the backing bytes; anything out of range falls back to
-    {!load_word}/{!store_word} for the exact fault. These two values
-    exist only for that fast path — all other clients go through the
-    checked accessors above. *)
+    {!load_word}/{!store_word} for the exact fault. These values exist
+    only for that fast path — all other clients go through the checked
+    accessors above. *)
 
 val bytes : t -> Bytes.t
 (** The live backing store. The reference is stable for the lifetime of
@@ -161,6 +173,16 @@ val invalidate_window : t -> int -> int -> unit
     for a write of [len] bytes at segment offset [off]: marks the
     overlapped 4 KiB pages dirty, so the next {!snapshot} copies them
     and the next {!restore} rewrites them, and invalidates intersecting
-    registered blocks. Past the dirty mark it is O(1) — two compares —
-    for stores outside the slots blocks have ever been registered over,
-    one directory load per slot inside them. *)
+    registered blocks. It scans cover counts only on pages that hold a
+    block registry; a page without one costs one directory load. *)
+
+val page_shift : int
+(** Pages are [1 lsl page_shift] (4096) bytes. *)
+
+val settled_pages : t -> Bytes.t
+(** The page byte map: one byte per 4 KiB page, nonzero exactly when
+    the page is dirty and holds no block registry. A store that lands
+    only on such pages has nothing for {!invalidate_window} to do, so
+    compiled stores call it only when a byte they touch is zero. The
+    reference is stable for the lifetime of the segment; callers only
+    read it. *)

@@ -28,6 +28,12 @@
      followed, a warmed chain stops at every fuel budget exactly where
      the reference engine does, and a warmed chained run allocates
      nothing.
+   - Fused-staging tests compare each early exit of the closure that
+     runs the code generator's operand staging with the reference
+     engine (a faulting push, a push into the running block, a faulting
+     operand load), and check that a compiled store retires a block
+     compiled on a page that was already dirty. The generated programs
+     contain staging sequences too.
    - qcheck properties pin the block registry's invalidation contract
      (a store intersecting a registered span flips its validity cell),
      the sliced-run equivalence, and incremental checkpoints against a
@@ -97,6 +103,66 @@ let gen_instr prng =
   | n when n < 97 -> Isa.Ret
   | n when n < 98 -> Isa.Jmpr (r ())
   | _ -> Isa.Syscall
+
+(* The operand staging the mini-C code generator emits for every binary
+   operator, [push a; X; mov b, a; pop a; op a, a, b], which the block
+   compiler runs as one closure. Registers, X and the tail are random,
+   so some draws break the pattern (a = b, a div/mod or unrelated tail,
+   no tail); X's base register is sometimes a, b or r13, and its offset
+   sometimes lands outside the segment, so X faults after the push
+   retired. A leading [mov r13, #...] may put sp at the segment start
+   (the push faults) or inside the code region (the push rewrites code,
+   the running block's included). *)
+let gen_staging prng =
+  let r () = Prng.int prng 8 in
+  let a = r () and b = r () in
+  let base_reg () =
+    match Prng.int prng 5 with
+    | 0 -> a
+    | 1 -> b
+    | 2 -> Cpu.sp_index
+    | _ -> 8 + Prng.int prng 2
+  in
+  let offset () =
+    match Prng.int prng 4 with
+    | 0 -> seg_size + Prng.int prng 16
+    | 1 -> -base - Prng.int prng 16
+    | _ -> Prng.int prng 64
+  in
+  let operand =
+    match Prng.int prng 3 with
+    | 0 -> Isa.Mov (a, Isa.Imm (Prng.int prng 256))
+    | 1 -> Isa.Load (a, base_reg (), offset ())
+    | _ -> Isa.Loadb (a, base_reg (), offset ())
+  in
+  let sp =
+    match Prng.int prng 8 with
+    | 0 -> [ Isa.Mov (Cpu.sp_index, Isa.Imm base) ]
+    | 1 ->
+      let word = Prng.int prng (2 * code_len) in
+      [ Isa.Mov (Cpu.sp_index, Isa.Imm (base + 4 + (4 * word))) ]
+    | _ -> []
+  in
+  let tail =
+    match Prng.int prng 4 with
+    | 0 -> [ Isa.Binop (Prng.pick prng binops, a, a, Isa.Reg b) ]
+    | 1 -> [ Isa.Setcc (Prng.pick prng conds, a, a, Isa.Reg b) ]
+    | 2 -> []
+    | _ -> [ gen_instr prng ]
+  in
+  sp @ [ Isa.Push a; operand; Isa.Mov (b, Isa.Reg a); Isa.Pop a ] @ tail
+
+(* [code_len] instructions: single ones from [gen_instr], and staging
+   sequences (cut short at the end). *)
+let gen_program prng =
+  let rec fill acc n =
+    if n >= code_len then Array.sub (Array.of_list (List.rev acc)) 0 code_len
+    else begin
+      let instrs = if Prng.int prng 12 = 0 then gen_staging prng else [ gen_instr prng ] in
+      fill (List.rev_append instrs acc) (n + List.length instrs)
+    end
+  in
+  fill [] 0
 
 let build_cpu ~engine program =
   let memory = Memory.create ~base ~size:seg_size in
@@ -179,7 +245,7 @@ let check_fetch_edges what memory =
    sweep also decodes wrong tags and bad opcodes. *)
 let run_fetch_differential ~seed ~steps =
   let prng = Prng.create ~seed in
-  let program = Array.init code_len (fun _ -> gen_instr prng) in
+  let program = gen_program prng in
   let cpu, memory = build_cpu ~engine:Memory.Block program in
   Memory.store_bytes memory
     ~addr:(base + seg_size - 16)
@@ -230,7 +296,7 @@ let outcome_to_string = function
 
 let run_differential_engines ?(restore = false) ~seed ~slices () =
   let prng = Prng.create ~seed in
-  let program = Array.init code_len (fun _ -> gen_instr prng) in
+  let program = gen_program prng in
   let ref_cpu, ref_mem = build_cpu ~engine:Memory.Reference program in
   let bl_cpu, bl_mem = build_cpu ~engine:Memory.Block program in
   let checkpoint = (Cpu.snapshot ref_cpu, Memory.snapshot ref_mem) in
@@ -651,6 +717,130 @@ let test_chain_allocates_nothing () =
   if words > 16. then Alcotest.failf "a warmed chained run allocated %.0f words" words
 
 (* ------------------------------------------------------------------ *)
+(* Fused operand staging: every early exit                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [program] from its first instruction under both engines after
+   [setup], and require the same outcome, pc, r0-r15, retired count and
+   memory. Returns the block engine's CPU and segment. *)
+let fused_run ~what ?(setup = ignore) program =
+  let run engine =
+    let cpu, memory = build_cpu ~engine program in
+    setup cpu;
+    (outcome_to_string (Cpu.run cpu ~fuel:100), cpu, memory)
+  in
+  let ro, rc, rm = run Memory.Reference and bo, bc, bm = run Memory.Block in
+  Alcotest.(check string) (what ^ ": outcome") ro bo;
+  check_lockstep_state ~seed:0 ~step:0 bc rc;
+  let dump m = Memory.load_bytes m ~addr:base ~len:seg_size in
+  Alcotest.(check bool) (what ^ ": memory") true (Bytes.equal (dump rm) (dump bm));
+  (bo, bc, bm)
+
+(* Where the staging sequence's push stores, with sp at the segment
+   top as [build_cpu] leaves it. *)
+let pushed_at = base + seg_size - 4
+
+(* A push that faults retires nothing of the sequence: sp points at the
+   segment start, so the push's word would sit just below it. *)
+let test_fused_push_faults () =
+  let outcome, cpu, _ =
+    fused_run ~what:"faulting push"
+      [|
+        Isa.Mov (Cpu.sp_index, Isa.Imm base); Isa.Mov (1, Isa.Imm 7);
+        Isa.Mov (2, Isa.Imm 9);
+        Isa.Push 1; Isa.Load (1, 8, 0); Isa.Mov (2, Isa.Reg 1); Isa.Pop 1;
+        Isa.Binop (Isa.Add, 1, 1, Isa.Reg 2); Isa.Halt;
+      |]
+  in
+  Alcotest.(check string) "stack fault"
+    (Printf.sprintf "fault: stack fault at 0x%08X" (base - 4))
+    outcome;
+  Alcotest.(check int) "the push retires nothing" 3 (Cpu.instructions_retired cpu);
+  Alcotest.(check int) "pc on the push" (base + (3 * Isa.instr_size)) (Cpu.pc cpu);
+  Alcotest.(check int) "sp unchanged" base (Cpu.reg cpu Cpu.sp_index);
+  Alcotest.(check (pair int int)) "a and b unchanged" (7, 9) (Cpu.reg cpu 1, Cpu.reg cpu 2)
+
+(* A push into the running block retires alone and resumes through the
+   dispatcher: sp is set so the push rewrites the first word of X with
+   the pushed 0, which decodes as a tag-0 [nop]. The re-decoded
+   sequence then moves a's 0, not X's load, into b. *)
+let test_fused_push_rewrites_block () =
+  let x_at = base + (3 * Isa.instr_size) in
+  let outcome, cpu, memory =
+    fused_run ~what:"push into the running block"
+      [|
+        Isa.Mov (Cpu.sp_index, Isa.Imm (x_at + 4)); Isa.Mov (1, Isa.Imm 0); Isa.Push 1;
+        Isa.Load (1, 8, 0); Isa.Mov (2, Isa.Reg 1); Isa.Pop 1;
+        Isa.Binop (Isa.Add, 1, 1, Isa.Reg 2); Isa.Halt;
+      |]
+      ~setup:(fun cpu -> Memory.store_word (Cpu.memory cpu) (data_base + 64) 5)
+  in
+  Alcotest.(check string) "halts" "halt" outcome;
+  Alcotest.(check int) "the pushed word rewrote X" 0 (Memory.load_word memory x_at);
+  Alcotest.(check (pair int int))
+    "b took a, not the load" (0, 0)
+    (Cpu.reg cpu 1, Cpu.reg cpu 2);
+  let compiled, _, invalidations = Cpu.block_stats cpu in
+  Alcotest.(check (pair int int))
+    "recompiled after the push" (2, 1) (compiled, invalidations)
+
+(* An operand load that faults retires the push: sp is decremented and
+   the pushed word is in memory, while a and b keep their values. *)
+let test_fused_operand_faults () =
+  let outcome, cpu, memory =
+    fused_run ~what:"faulting operand"
+      [|
+        Isa.Mov (1, Isa.Imm 7); Isa.Mov (2, Isa.Imm 9); Isa.Mov (3, Isa.Imm 0); Isa.Push 1;
+        Isa.Load (1, 3, 0); Isa.Mov (2, Isa.Reg 1); Isa.Pop 1;
+        Isa.Setcc (Isa.Lt, 1, 1, Isa.Reg 2); Isa.Halt;
+      |]
+  in
+  Alcotest.(check string) "segfault" "fault: segfault (read at 0x00000000)" outcome;
+  Alcotest.(check int) "the push retired" 4 (Cpu.instructions_retired cpu);
+  Alcotest.(check int) "pc on the load" (base + (4 * Isa.instr_size)) (Cpu.pc cpu);
+  Alcotest.(check int) "sp decremented" pushed_at (Cpu.reg cpu Cpu.sp_index);
+  Alcotest.(check int) "pushed word" 7 (Memory.load_word memory pushed_at);
+  Alcotest.(check (pair int int)) "a and b unchanged" (7, 9) (Cpu.reg cpu 1, Cpu.reg cpu 2)
+
+(* A compiled store must retire a block compiled on a page that was
+   already dirty: the host wrote the code, so page 0 is dirty with no
+   block registry (a store there has nothing to do) until [patch]'s
+   block registers. The guest then rewrites [patch] and jumps back to
+   that same entry, which must run the new instruction. *)
+let test_store_retires_block_on_dirty_page () =
+  List.iter
+    (fun engine ->
+      let loaded =
+        load_source ~engine
+          (Printf.sprintf
+             {|
+               la r1, patch
+               mov r4, #42
+               jmp patch
+             patch:
+               mov r3, #1
+               breq r3, r4, done
+               mov r2, #%d
+               st [r1], r2
+               mov r2, #%d
+               st [r1+4], r2
+               jmp patch
+             done:
+               halt
+             |}
+             (le_word (Isa.encode ~tag:0 (Isa.Mov (3, Isa.Imm 42))) 0)
+             (le_word (Isa.encode ~tag:0 (Isa.Mov (3, Isa.Imm 42))) 4))
+      in
+      let what = Memory.engine_to_string engine in
+      (match Cpu.run loaded.Image.cpu ~fuel:1000 with
+      | Cpu.Trapped Cpu.Halt_trap -> ()
+      | o -> Alcotest.failf "%s: expected halt, got %s" what (outcome_to_string o));
+      Alcotest.(check int)
+        (what ^ ": patched instruction ran")
+        42 (Cpu.reg loaded.Image.cpu 3))
+    all_engines
+
+(* ------------------------------------------------------------------ *)
 (* qcheck properties: block-registry invalidation and run equivalence  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1013,6 +1203,16 @@ let () =
           Alcotest.test_case "every fuel budget" `Quick test_chain_every_fuel_budget;
           Alcotest.test_case "warmed chained run allocates nothing" `Quick
             test_chain_allocates_nothing;
+        ] );
+      ( "fused staging",
+        [
+          Alcotest.test_case "faulting push retires nothing" `Quick test_fused_push_faults;
+          Alcotest.test_case "push into the running block" `Quick
+            test_fused_push_rewrites_block;
+          Alcotest.test_case "faulting operand retires the push" `Quick
+            test_fused_operand_faults;
+          Alcotest.test_case "store retires a block on a dirty page" `Quick
+            test_store_retires_block_on_dirty_page;
         ] );
       ( "self-modifying code",
         [
