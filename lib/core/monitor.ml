@@ -460,7 +460,7 @@ let dispatch t ~now_instr =
             (Printf.sprintf "read(%d): unshared file, each variant reads its own copy" fd);
         chunks
       | Kernel.Shared_data bytes -> (
-        Metrics.add t.input_bytes_replicated_c (max 0 count);
+        Metrics.add t.input_bytes_replicated_c (Int.max 0 count);
         match t.input_fault with
         | Some perturb when count > 0 ->
           if notes_wanted t then
@@ -713,7 +713,7 @@ let run_variant_to_trap t i ~fuel =
           go fuel
         end
         else begin
-          match Cpu.run cpu ~fuel:(min due fuel) with
+          match Cpu.run cpu ~fuel:(Int.min due fuel) with
           | Cpu.Out_of_fuel when due <= fuel ->
             (* Reached the delivery point without trapping. *)
             deliver_pending t s i;
@@ -922,6 +922,9 @@ let snapshot t =
     snap_images = Array.map Image.snapshot t.variants;
     snap_kernel = Kernel.snapshot t.kernel;
   }
+
+let release t snap =
+  Array.iteri (fun i s -> Image.release t.variants.(i) s) snap.snap_images
 
 let restore t snap =
   Array.iteri (fun i s -> Image.restore t.variants.(i) s) snap.snap_images;

@@ -222,7 +222,15 @@ val restore : t -> snapshot -> int
     memory restore rewrites only the pages that differ from the
     snapshot ({!Nv_vm.Memory.restore}): compiled blocks are dropped
     there, to be rebuilt as the restored code runs, and kept everywhere
-    else. A snapshot may be restored any number of times. *)
+    else. A snapshot may be restored any number of times until it is
+    released; restoring a released one raises [Invalid_argument] before
+    anything is rolled back. *)
+
+val release : t -> snapshot -> unit
+(** Give up a snapshot: every variant's page copies that nothing else
+    holds go back to its segment, to be reused by the next
+    {!snapshot} ({!Nv_vm.Image.release}). The kernel part holds no
+    buffers of its own. Releasing a snapshot again does nothing. *)
 
 val set_input_fault : t -> (variant:int -> string -> string) option -> unit
 (** Install (or clear) a fault-injection hook on replicated input:

@@ -9,7 +9,9 @@
 
     - a checkpoint of every variant plus the kernel is taken at
       {!Monitor.Blocked_on_accept} boundaries, every
-      [checkpoint_interval] rendezvous;
+      [checkpoint_interval] rendezvous; the supervisor is the only
+      holder of the checkpoint it replaces and releases it first
+      ({!Monitor.release}), so the new one reuses its page buffers;
     - on {!Monitor.Alarm} the system is rolled back to the last
       checkpoint, live connections (including the one that carried the
       attack) are dropped, and the accept loop resumes;
@@ -48,7 +50,8 @@ val run : ?fuel:int -> t -> Monitor.outcome
     checkpoint (dropping live connections) and resumes. Returns
     {!Monitor.Alarm} only once the budget is exhausted — from then on
     the supervisor is fail-stop ({!exhausted}). Checkpoints are taken
-    when the system parks on accept. *)
+    when the system parks on accept, each after releasing the one it
+    replaces. *)
 
 val monitor : t -> Monitor.t
 val config : t -> config

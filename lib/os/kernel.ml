@@ -50,7 +50,7 @@ type t = {
 }
 
 (* One [calls_by_number] slot per syscall number in the ABI table. *)
-let call_slots = 1 + List.fold_left (fun m (n, _) -> max m n) 0 Syscall.all
+let call_slots = 1 + List.fold_left (fun m (n, _) -> Int.max m n) 0 Syscall.all
 
 let create ?metrics ?(fd_limit = 64) ~variants vfs =
   if variants < 1 then invalid_arg "Kernel.create: need at least one variant";
@@ -254,7 +254,7 @@ let read_desc t desc len =
 
 let sys_read t ~fd ~len =
   count t Syscall.sys_read;
-  let len = max 0 len in
+  let len = Int.max 0 len in
   match slot t fd with
   | Free -> (Nv_vm.Word.to_signed err, Shared_data "")
   | Shared desc -> (
@@ -309,7 +309,7 @@ let write_unshared t descs chunk_of =
   else begin
     let results = Array.mapi (fun i desc -> write_desc t desc (chunk_of i)) descs in
     Array.iter (fun r -> if r > 0 then Metrics.add t.unshared_bytes_out r) results;
-    Array.fold_left min max_int results
+    Array.fold_left Int.min max_int results
   end
 
 let sys_write t ~fd ~data =
@@ -396,7 +396,7 @@ let fd_is_unshared t ~fd =
 type snapshot = {
   snap_cred : Cred.t;
   snap_fds : slot array;
-  snap_files : (string * string * Vfs.attrs) list;
+  snap_files : Vfs.snapshot;
   snap_stdout : int;
   snap_stderr : int;
   snap_exit : int option;
@@ -424,7 +424,7 @@ let snapshot t =
   {
     snap_cred = t.cred;
     snap_fds = Array.map copy_slot t.fds;
-    snap_files = Vfs.dump_files t.vfs;
+    snap_files = Vfs.snapshot t.vfs;
     snap_stdout = Buffer.length t.stdout;
     snap_stderr = Buffer.length t.stderr;
     snap_exit = t.exit_status;
@@ -445,12 +445,10 @@ let restore t snap =
   Array.iteri (fun i s -> t.fds.(i) <- copy_slot s) snap.snap_fds;
   t.cred <- snap.snap_cred;
   t.exit_status <- snap.snap_exit;
-  (* Reinstate checkpointed file contents and attributes (re-creating
-     removed files). Files created after the checkpoint are left in
+  (* Reinstate checkpointed file contents and attributes (re-linking
+     removed files). Files installed after the checkpoint are left in
      place; the fd table restore drops any descriptor for them. *)
-  List.iter
-    (fun (path, content, attrs) -> Vfs.install t.vfs ~attrs ~path content)
-    snap.snap_files;
+  Vfs.restore t.vfs snap.snap_files;
   if Buffer.length t.stdout >= snap.snap_stdout then
     Buffer.truncate t.stdout snap.snap_stdout;
   if Buffer.length t.stderr >= snap.snap_stderr then

@@ -117,10 +117,12 @@ val fd_is_unshared : t -> fd:int -> bool
 
     Used by the supervisor's recovery layer. A snapshot captures
     credentials, the fd table (descriptor kinds, file positions),
-    every VFS file's content and attributes, the stdout/stderr
-    lengths and the exit status. Live connections are {e not}
-    checkpointed: their slots are recorded as free, and {!restore}
-    closes any connection open at restore time. The listener's
+    every VFS file's content and attributes ({!Vfs.snapshot}: each
+    file's node with its content string and attributes, by
+    reference; no path is built, nothing is copied or sorted), the
+    stdout/stderr lengths and the exit status. Live connections are
+    {e not} checkpointed: their slots are recorded as free, and
+    {!restore} closes any connection open at restore time. The listener's
     pending-accept queue, metrics counters and the syscall count are
     deliberately left untouched (counters stay monotonic across
     rollbacks). *)
@@ -131,5 +133,8 @@ val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> int
 (** Roll the kernel back to [snap]; returns the number of live
-    connections that were closed. A snapshot may be restored any
-    number of times. *)
+    connections that were closed. Every checkpointed file gets its
+    content and attributes back, and a file removed since is linked
+    again; files installed since at new paths stay (no syscall
+    creates a file). A snapshot may be restored any number of times,
+    into the kernel that took it. *)

@@ -58,7 +58,7 @@ let server_closed conn = conn.server_closed
 
 let server_read conn ~max =
   let available = Buffer.length conn.to_server - conn.to_server_pos in
-  let n = min max available in
+  let n = Int.min max available in
   if n <= 0 then ""
   else begin
     let data = Buffer.sub conn.to_server conn.to_server_pos n in

@@ -208,16 +208,49 @@ let exists t path = match find t path with Ok _ -> true | Error _ -> false
 let stat t path =
   match find t path with Error _ as e -> e | Ok node -> Ok (node_attrs node)
 
-let dump_files t =
-  let rec walk prefix node acc =
-    match node with
-    | File { content; attrs } -> (prefix, content, attrs) :: acc
-    | Dir { entries; _ } ->
-      Hashtbl.fold (fun name child acc -> (name, child) :: acc) entries []
-      |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
-      |> List.fold_left (fun acc (name, child) -> walk (prefix ^ "/" ^ name) child acc) acc
+(* A file as a checkpoint saw it: the directory table that linked it
+   under [name], the node itself, and its content and attributes then.
+   Contents are immutable strings, so nothing is copied. Directories
+   are never removed and keep their attributes, so only files are
+   recorded. *)
+type saved = {
+  dir : (string, node) Hashtbl.t;
+  name : string;
+  node : node;
+  content : string;
+  attrs : attrs;
+}
+
+type snapshot = { snap_root : node; snap_files : saved list }
+
+let snapshot t =
+  let rec walk entries acc =
+    Hashtbl.fold
+      (fun name node acc ->
+        match node with
+        | File f -> { dir = entries; name; node; content = f.content; attrs = f.attrs } :: acc
+        | Dir d -> walk d.entries acc)
+      entries acc
   in
-  List.rev (walk "" t.root [])
+  let files = match t.root with Dir d -> walk d.entries [] | File _ -> [] in
+  { snap_root = t.root; snap_files = files }
+
+(* Write each saved file back into its node and link the node again
+   where a [remove] (or a later [install] over a removed path) left
+   another entry or none. *)
+let restore t snap =
+  if snap.snap_root != t.root then invalid_arg "Vfs.restore: snapshot of another filesystem";
+  List.iter
+    (fun s ->
+      (match s.node with
+      | File f ->
+        f.content <- s.content;
+        f.attrs <- s.attrs
+      | Dir _ -> ());
+      match Hashtbl.find s.dir s.name with
+      | linked when linked == s.node -> ()
+      | _ | (exception Not_found) -> Hashtbl.replace s.dir s.name s.node)
+    snap.snap_files
 
 let list_dir t path =
   match find t path with

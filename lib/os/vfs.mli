@@ -67,6 +67,17 @@ val stat : t -> string -> (attrs, error) result
 val list_dir : t -> string -> (string list, error) result
 (** Sorted entry names. *)
 
-val dump_files : t -> (string * string * attrs) list
-(** Every regular file as [(absolute path, content, attrs)], sorted by
-    path (a deterministic walk). Used by kernel checkpointing. *)
+type snapshot
+(** Every regular file's content and attributes as of {!snapshot},
+    held by reference: a file's content is an immutable string, so
+    nothing is copied, and no path is built. *)
+
+val snapshot : t -> snapshot
+
+val restore : t -> snapshot -> unit
+(** Put every file of the snapshot back: its content, its attributes,
+    and its directory entry if it was removed (or removed and installed
+    again) since. Files installed since at paths the snapshot did not
+    have stay. A snapshot may be restored any number of times; it
+    restores only into the filesystem that took it ([Invalid_argument]
+    otherwise). Used by kernel checkpointing. *)

@@ -55,12 +55,20 @@ val abs_symbol : loaded -> string -> int
 type snapshot
 (** A checkpoint of one loaded variant: the CPU's architectural state
     ({!Cpu.snapshot}) plus the segment bytes ({!Memory.snapshot}, which
-    copies only the pages dirtied since the previous checkpoint). The
-    layout is immutable and not captured. *)
+    copies only the pages dirtied since the previous checkpoint, into
+    page buffers that released snapshots gave back when there are
+    any). The layout is immutable and not captured. *)
 
 val snapshot : loaded -> snapshot
 
 val restore : loaded -> snapshot -> unit
 (** Roll the variant back to the snapshot. The memory restore rewrites
     only the pages that differ from the snapshot and drops the compiled
-    blocks on those pages only ({!Memory.restore}). *)
+    blocks on those pages only ({!Memory.restore}). Raises
+    [Invalid_argument] on a released snapshot, before touching the
+    variant. *)
+
+val release : loaded -> snapshot -> unit
+(** Give the snapshot's page copies back to the variant's segment for
+    reuse ({!Memory.release}); the snapshot can no longer be restored.
+    Releasing it again does nothing. *)

@@ -45,20 +45,40 @@ let page_mask = page_slots - 1
 let empty_page =
   { entries = Array.make page_slots no_entry; cover = Array.make page_slots 0 }
 
+(* A copy of one page's bytes, immutable while anything holds it.
+   [holders] counts the [clean] slots that equal it plus the unreleased
+   snapshots that contain it; a copy that drops to none goes back to a
+   free list, to be overwritten by the next snapshot. A segment's own
+   zero page is permanent: its count stays negative, so neither holding
+   nor dropping it counts. Every copy is a whole page long, so any
+   segment can recycle any copy. *)
+type copy = { bytes : Bytes.t; mutable holders : int }
+
+let permanent = -1
+
 type t = {
   base : int;
   size : int;
   data : Bytes.t;
   pages : page array;  (* the page directory: one entry per 4 KiB *)
-  (* Checkpoint state, one element per 4 KiB page: [clean.(i)] is an
-     immutable copy that page [i] equals (its first [page_length] bytes)
-     while [dirty.(i)] is unset. Its physical identity is the page's
-     version: a snapshot shares it, and [restore] skips a clean page
-     whose copy is the snapshot's own. A fresh segment's pages all share
-     one zero page of its own, so another segment's snapshot never
-     matches a page it did not hand over. *)
-  clean : Bytes.t array;
+  (* Checkpoint state, one element per 4 KiB page: [clean.(i)] is a
+     copy that page [i] equals (its first [page_length] bytes) while
+     [dirty.(i)] is unset. Its physical identity is the page's version:
+     a snapshot shares it, and [restore] skips a clean page whose copy
+     is the snapshot's own. A fresh segment's pages all share its
+     permanent [zero] page, so another segment's snapshot never matches
+     a page it did not hand over. *)
+  clean : copy array;
   dirty : bool array;
+  zero : copy;
+  (* The pages marked dirty since the last snapshot or restore, in the
+     first [dirty_count] slots: what the next snapshot copies. *)
+  dirty_pages : int array;
+  mutable dirty_count : int;
+  (* Copies nothing holds, in the first [free_count] slots (the rest
+     point at [zero]); at most one per page of the segment. *)
+  free : copy array;
+  mutable free_count : int;
   (* One byte per page, nonzero exactly while [dirty.(i)] is set and
      [pages.(i)] is [empty_page]: a store into such a page has no
      bookkeeping left to do, which compiled stores test before calling
@@ -74,13 +94,19 @@ let create ~base ~size =
   if base < 0 || size < 0 || base + size > 0x1_0000_0000 then
     invalid_arg "Memory.create: segment outside the 32-bit address space";
   let page_count = (size + (1 lsl page_shift) - 1) lsr page_shift in
+  let zero = { bytes = Bytes.make (1 lsl page_shift) '\000'; holders = permanent } in
   {
     base;
     size;
     data = Bytes.make size '\000';
     pages = Array.make page_count empty_page;
-    clean = Array.make page_count (Bytes.make (1 lsl page_shift) '\000');
+    clean = Array.make page_count zero;
     dirty = Array.make page_count false;
+    zero;
+    dirty_pages = Array.make page_count 0;
+    dirty_count = 0;
+    free = Array.make page_count zero;
+    free_count = 0;
     settled = Bytes.make page_count '\000';
     engine = Block;
     block_invalidations = 0;
@@ -185,17 +211,22 @@ let register_block t ~slot ~slots ~valid code =
   done
 
 (* Store-side maintenance for a write of [len] bytes at segment offset
-   [off]: mark the overlapped pages dirty for the next checkpoint and
-   invalidate every registered block whose span intersects the write.
-   Only pages with a block registry have cover counts to scan, so a
-   store into plain data costs one directory load per page; only when a
-   store actually lands under a compiled block do we back-scan the
-   bounded window of entry slots that could span it. *)
+   [off]: mark the overlapped pages dirty for the next checkpoint (and
+   list each one the first time) and invalidate every registered block
+   whose span intersects the write. Only pages with a block registry
+   have cover counts to scan, so a store into plain data costs one
+   directory load per page; only when a store actually lands under a
+   compiled block do we back-scan the bounded window of entry slots
+   that could span it. *)
 let invalidate_window t off len =
   let lo = off lsr instr_shift and hi = (off + len - 1) lsr instr_shift in
   let covered = ref false in
   for p = off lsr page_shift to (off + len - 1) lsr page_shift do
-    t.dirty.(p) <- true;
+    if not t.dirty.(p) then begin
+      t.dirty.(p) <- true;
+      t.dirty_pages.(t.dirty_count) <- p;
+      t.dirty_count <- t.dirty_count + 1
+    end;
     let page = t.pages.(p) in
     if page == empty_page then Bytes.set t.settled p '\001'
     else begin
@@ -206,7 +237,7 @@ let invalidate_window t off len =
     end
   done;
   if !covered then
-    for e = max 0 (lo - max_block_slots + 1) to hi do
+    for e = Int.max 0 (lo - max_block_slots + 1) to hi do
       let entry = (page_of t e).entries.(e land page_mask) in
       if entry != no_entry && entry.be_end > lo then begin
         unregister t e;
@@ -218,43 +249,89 @@ let invalidate_window t off len =
 (* Checkpointing                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type snapshot = { snap_size : int; snap_pages : Bytes.t array }
+type snapshot = {
+  snap_size : int;
+  snap_pages : copy array;
+  mutable released : bool;
+}
 
-let page_length t i = min (1 lsl page_shift) (t.size - (i lsl page_shift))
+let page_length t i = Int.min (1 lsl page_shift) (t.size - (i lsl page_shift))
+
+let hold c = if c.holders <> permanent then c.holders <- c.holders + 1
+
+let drop t c =
+  if c.holders <> permanent then begin
+    c.holders <- c.holders - 1;
+    if c.holders = 0 && t.free_count < Array.length t.free then begin
+      t.free.(t.free_count) <- c;
+      t.free_count <- t.free_count + 1
+    end
+  end
+
+(* A copy for one holder: a recycled one if any, else a new page. *)
+let fresh_copy t =
+  if t.free_count = 0 then { bytes = Bytes.create (1 lsl page_shift); holders = 1 }
+  else begin
+    t.free_count <- t.free_count - 1;
+    let c = t.free.(t.free_count) in
+    t.free.(t.free_count) <- t.zero;
+    c.holders <- 1;
+    c
+  end
 
 (* Copy the pages dirtied since the last checkpoint; every other page
-   shares the copy it already equals. *)
+   shares the copy it already equals. The old copy of a dirty page is
+   dropped first, so a copy nothing else holds is rewritten in place. *)
 let snapshot t =
-  Array.iteri
-    (fun i dirty ->
-      if dirty then begin
-        t.clean.(i) <- Bytes.sub t.data (i lsl page_shift) (page_length t i);
-        t.dirty.(i) <- false;
-        Bytes.set t.settled i '\000'
-      end)
-    t.dirty;
-  { snap_size = t.size; snap_pages = Array.copy t.clean }
+  for k = 0 to t.dirty_count - 1 do
+    let i = t.dirty_pages.(k) in
+    drop t t.clean.(i);
+    let c = fresh_copy t in
+    Bytes.blit t.data (i lsl page_shift) c.bytes 0 (page_length t i);
+    t.clean.(i) <- c;
+    t.dirty.(i) <- false;
+    Bytes.set t.settled i '\000'
+  done;
+  t.dirty_count <- 0;
+  let pages = Array.copy t.clean in
+  for i = 0 to Array.length pages - 1 do
+    hold pages.(i)
+  done;
+  { snap_size = t.size; snap_pages = pages; released = false }
+
+let release t snap =
+  if not snap.released then begin
+    snap.released <- true;
+    for i = 0 to Array.length snap.snap_pages - 1 do
+      drop t snap.snap_pages.(i)
+    done
+  end
 
 (* Rewrite only the pages that may differ from the snapshot: dirty ones,
    and clean ones holding another copy. [invalidate_window] over a
    rewritten page retires every block that touches it, which leaves its
    directory entry empty; pages left alone keep their registry, so blocks
-   on untouched code pages survive a rollback. *)
+   on untouched code pages survive a rollback. Every dirty page is
+   rewritten, so none is left to list. *)
 let restore t snap =
   if snap.snap_size <> t.size then
     invalid_arg "Memory.restore: snapshot is for a different segment size";
-  Array.iteri
-    (fun i page ->
-      if t.dirty.(i) || t.clean.(i) != page then begin
-        let off = i lsl page_shift and len = page_length t i in
-        Bytes.blit page 0 t.data off len;
-        invalidate_window t off len;
-        t.pages.(i) <- empty_page;
-        t.clean.(i) <- page;
-        t.dirty.(i) <- false;
-        Bytes.set t.settled i '\000'
-      end)
-    snap.snap_pages
+  if snap.released then invalid_arg "Memory.restore: snapshot was released";
+  for i = 0 to Array.length snap.snap_pages - 1 do
+    let c = snap.snap_pages.(i) in
+    if t.dirty.(i) || t.clean.(i) != c then begin
+      let off = i lsl page_shift and len = page_length t i in
+      Bytes.blit c.bytes 0 t.data off len;
+      invalidate_window t off len;
+      t.pages.(i) <- empty_page;
+      hold c;
+      drop t t.clean.(i);
+      t.clean.(i) <- c;
+      t.dirty.(i) <- false;
+      Bytes.set t.settled i '\000'
+    end
+  done;
+  t.dirty_count <- 0
 
 let load_byte t addr =
   check t addr Read;
@@ -318,7 +395,7 @@ let load_cstring t ~addr ~max_len =
     let off = addr - t.base in
     (* The scan may stop at a NUL, at [max_len], or fault at the end of
        the segment — whichever comes first. *)
-    let window_end = min (off + max_len) t.size in
+    let window_end = Int.min (off + max_len) t.size in
     let rec find i = if i >= window_end then i else if Bytes.get t.data i = '\000' then i else find (i + 1) in
     let stop = find off in
     if stop >= window_end && window_end < off + max_len then

@@ -31,16 +31,29 @@ val to_offset : t -> int -> int
     [Fault] if out of range. *)
 
 type snapshot
-(** An immutable checkpoint of a segment's bytes, kept as one copy per
-    4 KiB page (the base is not captured; a snapshot can only be
-    restored into the segment it was taken from, or one with the same
-    size). It can be restored any number of times, in any order. *)
+(** A checkpoint of a segment's bytes, kept as one copy per 4 KiB page
+    (the base is not captured; a snapshot can only be restored into the
+    segment it was taken from, or one with the same size). Until it is
+    {!release}d it is immutable and can be restored any number of
+    times, in any order. *)
 
 val snapshot : t -> snapshot
 (** Checkpoint the segment. Only the pages dirtied since the segment's
-    previous snapshot or restore are copied; every other page is shared
-    with the earlier checkpoints that hold the same copy. The cost
+    previous snapshot or restore are copied, from the list
+    {!invalidate_window} keeps of them; every other page is shared with
+    the earlier checkpoints that hold the same copy. A copy comes from
+    the segment's free list when it has one (see {!release}), so a
+    checkpoint that replaces a released one allocates no page. The cost
     follows the pages the guest wrote, not the segment size. *)
+
+val release : t -> snapshot -> unit
+(** Give up a snapshot: each page copy that no other unreleased
+    snapshot and no page of a segment still holds goes to [t]'s free
+    list (at most one copy per page of [t]), to be overwritten by a
+    later {!snapshot}. Restoring a released snapshot raises
+    [Invalid_argument]; releasing it again does nothing. A snapshot
+    that is never released is reclaimed by the GC as before; only its
+    copies are never recycled. *)
 
 val restore : t -> snapshot -> unit
 (** Roll the segment back to the snapshot. Only the pages that may
@@ -51,8 +64,8 @@ val restore : t -> snapshot -> unit
     counted in {!block_invalidations}) and their page-directory entries
     released.
     Compiled blocks on pages left alone stay valid. Raises
-    [Invalid_argument] on a segment-size mismatch, before touching the
-    segment. *)
+    [Invalid_argument] on a segment-size mismatch or a released
+    snapshot, before touching the segment. *)
 
 val load_byte : t -> int -> int
 val store_byte : t -> int -> int -> unit
@@ -171,10 +184,11 @@ val bytes : t -> Bytes.t
 val invalidate_window : t -> int -> int -> unit
 (** [invalidate_window t off len] performs the store-side maintenance
     for a write of [len] bytes at segment offset [off]: marks the
-    overlapped 4 KiB pages dirty, so the next {!snapshot} copies them
-    and the next {!restore} rewrites them, and invalidates intersecting
-    registered blocks. It scans cover counts only on pages that hold a
-    block registry; a page without one costs one directory load. *)
+    overlapped 4 KiB pages dirty, listing each the first time, so the
+    next {!snapshot} copies them and the next {!restore} rewrites them,
+    and invalidates intersecting registered blocks. It scans cover
+    counts only on pages that hold a block registry; a page without one
+    costs one directory load. *)
 
 val page_shift : int
 (** Pages are [1 lsl page_shift] (4096) bytes. *)

@@ -321,17 +321,6 @@ let test_vfs_remove () =
   | Error Vfs.Eisdir -> ()
   | _ -> Alcotest.fail "EISDIR expected"
 
-let test_vfs_dump_files () =
-  let fs = world () in
-  let files = Vfs.dump_files fs in
-  Alcotest.(check (list string))
-    "paths sorted"
-    [ "/etc/passwd"; "/etc/shadow"; "/home/alice/notes.txt" ]
-    (List.map (fun (p, _, _) -> p) files);
-  let _, content, attrs = List.find (fun (p, _, _) -> p = "/etc/shadow") files in
-  Alcotest.(check string) "content" "secret\n" content;
-  Alcotest.(check int) "mode" 0o600 attrs.Vfs.mode
-
 let test_vfs_traversal_normalization () =
   let fs = world () in
   let read path =
@@ -676,6 +665,63 @@ let test_kernel_unshared_write_no_partial () =
   | Ok c -> Alcotest.(check string) "variant 0 copy untouched" "a" c
   | Error _ -> Alcotest.fail "variant 0 copy should still exist"
 
+(* A kernel checkpoint rolls back file contents and attributes, removed
+   files, descriptor positions and the capture buffers, keeps files
+   installed after it, drops the connection open at restore, and
+   restores the same way a second time. *)
+let test_kernel_snapshot_restore () =
+  let k = make_kernel () in
+  let fs = Kernel.vfs k in
+  let passwd = Passwd.serialize Passwd.sample in
+  let motd = Kernel.sys_open k ~path:"/etc/motd" ~flags:Syscall.o_rdonly in
+  ignore (Kernel.sys_read k ~fd:motd ~len:3);
+  let log = Kernel.sys_open k ~path:"/var/log/app.log" ~flags:Syscall.o_append in
+  ignore (Kernel.sys_write k ~fd:log ~data:(Kernel.Shared_data "line1\n"));
+  ignore (Kernel.sys_write k ~fd:1 ~data:(Kernel.Shared_data "out1"));
+  ignore (Kernel.sys_write k ~fd:2 ~data:(Kernel.Shared_data "err1"));
+  let snap = Kernel.snapshot k in
+  let contents path =
+    match Vfs.contents fs ~path with Ok c -> c | Error _ -> Alcotest.failf "%s missing" path
+  in
+  let attrs path =
+    match Vfs.stat fs path with Ok a -> a | Error _ -> Alcotest.failf "%s missing" path
+  in
+  let round what =
+    ignore (Kernel.sys_read k ~fd:motd ~len:3);
+    ignore (Kernel.sys_write k ~fd:log ~data:(Kernel.Shared_data "line2\n"));
+    ignore (Vfs.set_contents fs ~path:"/etc/passwd" "changed");
+    Vfs.install fs ~attrs:{ Vfs.mode = 0o600; owner = 5; group = 5 } ~path:"/etc/motd" "new\n";
+    ignore (Vfs.remove fs "/secret/shadow");
+    ignore (Vfs.remove fs "/etc/passwd-0");
+    Vfs.install fs ~path:"/etc/passwd-0" "impostor";
+    Vfs.install fs ~path:"/tmp/new.txt" "fresh\n";
+    ignore (Kernel.sys_write k ~fd:1 ~data:(Kernel.Shared_data "out2"));
+    ignore (Kernel.sys_write k ~fd:2 ~data:(Kernel.Shared_data "err2"));
+    let conn = Kernel.connect k in
+    let fd = Kernel.sys_accept k ~fd:Kernel.listen_fd in
+    Alcotest.(check bool) (what ^ ": accepted") true (fd >= 3);
+    Alcotest.(check int) (what ^ ": dropped") 1 (Kernel.restore k snap);
+    Alcotest.(check bool) (what ^ ": connection closed") true (Socket.server_closed conn);
+    Alcotest.(check int) (what ^ ": its slot is free") (-1)
+      (fst (Kernel.sys_read k ~fd ~len:1));
+    Alcotest.(check string) (what ^ ": appended") "line1\n" (contents "/var/log/app.log");
+    Alcotest.(check string) (what ^ ": set") passwd (contents "/etc/passwd");
+    Alcotest.(check string) (what ^ ": installed") "welcome\n" (contents "/etc/motd");
+    Alcotest.(check bool) (what ^ ": attributes") true
+      (attrs "/etc/motd" = { Vfs.mode = 0o644; owner = 0; group = 0 });
+    Alcotest.(check string) (what ^ ": removed") "top-secret\n" (contents "/secret/shadow");
+    Alcotest.(check int) (what ^ ": removed mode") 0o600 (attrs "/secret/shadow").Vfs.mode;
+    Alcotest.(check string) (what ^ ": reinstalled") passwd (contents "/etc/passwd-0");
+    Alcotest.(check string) (what ^ ": new file stays") "fresh\n" (contents "/tmp/new.txt");
+    Alcotest.(check string) (what ^ ": stdout") "out1" (Kernel.stdout_contents k);
+    Alcotest.(check string) (what ^ ": stderr") "err1" (Kernel.stderr_contents k);
+    match Kernel.sys_read k ~fd:motd ~len:3 with
+    | 3, Kernel.Shared_data data -> Alcotest.(check string) (what ^ ": position") "com" data
+    | _ -> Alcotest.failf "%s: motd read" what
+  in
+  round "first restore";
+  round "second restore"
+
 (* ------------------------------------------------------------------ *)
 (* Syscall metadata                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -761,7 +807,6 @@ let () =
           Alcotest.test_case "stat" `Quick test_vfs_stat;
           Alcotest.test_case "truncate" `Quick test_vfs_truncate;
           Alcotest.test_case "remove" `Quick test_vfs_remove;
-          Alcotest.test_case "dump files" `Quick test_vfs_dump_files;
           Alcotest.test_case "size and read_range" `Quick test_vfs_size_and_read_range;
           Alcotest.test_case "traversal normalization" `Quick
             test_vfs_traversal_normalization;
@@ -801,6 +846,7 @@ let () =
             test_kernel_unshared_read_error_no_partial_pos;
           Alcotest.test_case "unshared write: no partial" `Quick
             test_kernel_unshared_write_no_partial;
+          Alcotest.test_case "snapshot and restore" `Quick test_kernel_snapshot_restore;
         ] );
       ( "syscall",
         [

@@ -36,8 +36,8 @@
      contain staging sequences too.
    - qcheck properties pin the block registry's invalidation contract
      (a store intersecting a registered span flips its validity cell),
-     the sliced-run equivalence, and incremental checkpoints against a
-     full-copy model.
+     the sliced-run equivalence, and incremental checkpoints with
+     released, recycled page copies against a full-copy model.
    - A pinned regression asserts the bench report's demand/monitor
      counters equal constants the fast paths must never move. *)
 
@@ -904,7 +904,11 @@ let prop_engines_agree_across_restore =
    checkpoints are then invisible: a snapshot that missed a dirtied page
    or a restore that skipped a changed one shows up as a byte
    difference, and a compiled block that survived a rollback of its
-   code shows up when the guest re-runs. *)
+   code shows up when the guest re-runs. Releases recycle page copies:
+   one recycled while another snapshot or a segment still holds it is
+   overwritten by a later snapshot, which shows up as a byte difference
+   when that holder is restored or snapshotted. A released snapshot
+   must refuse to restore. *)
 let ck_size = (3 * page_bytes) + 100
 
 (* The guest: one store of each kind the block compiler inlines, each
@@ -945,6 +949,7 @@ type ck_op =
   | Guest of int * guest
   | Snapshot of int
   | Restore of int * int  (* segment, index of an earlier snapshot *)
+  | Release of int  (* index of an earlier snapshot *)
 
 let ck_op_to_string = function
   | Store_byte (s, o, v) -> Printf.sprintf "store_byte %d @%d %d" s o v
@@ -959,6 +964,7 @@ let ck_op_to_string = function
       g.g_word g.g_byte g.g_push_sp g.g_call_sp g.g_value g.g_offset
   | Snapshot s -> Printf.sprintf "snapshot %d" s
   | Restore (s, i) -> Printf.sprintf "restore %d <- #%d" s i
+  | Release i -> Printf.sprintf "release #%d" i
 
 let ck_op_gen =
   let open QCheck.Gen in
@@ -1008,6 +1014,7 @@ let ck_op_gen =
       (4, map2 (fun s g -> Guest (s, g)) seg guest);
       (3, map (fun s -> Snapshot s) seg);
       (3, map2 (fun s i -> Restore (s, i)) seg (int_bound 50));
+      (2, map (fun i -> Release i) (int_bound 50));
     ]
 
 (* Run one guest on [cpu] (block engine) and on a fresh reference
@@ -1064,7 +1071,8 @@ let prop_checkpoints_match_model =
       in
       let cpus = Array.map (fun m -> Cpu.create m ~pc:base ~sp:(base + ck_size)) segs in
       let models = Array.init 2 (fun _ -> Bytes.make ck_size '\000') in
-      (* Every snapshot taken so far, newest first, with its model. *)
+      (* Every snapshot taken and not released, newest first, with the
+         segment that took it and its model. *)
       let snaps = ref [] in
       let check after =
         Array.iteri
@@ -1097,14 +1105,25 @@ let prop_checkpoints_match_model =
             end;
             models.(s) <- run_guest cpus.(s) models.(s) g
           | Snapshot s ->
-            snaps := (Memory.snapshot segs.(s), Bytes.copy models.(s)) :: !snaps
+            snaps := (Memory.snapshot segs.(s), s, Bytes.copy models.(s)) :: !snaps
           | Restore (s, i) -> (
             match !snaps with
             | [] -> ()
             | l ->
-              let snap, model = List.nth l (i mod List.length l) in
+              let snap, _, model = List.nth l (i mod List.length l) in
               Memory.restore segs.(s) snap;
-              models.(s) <- Bytes.copy model));
+              models.(s) <- Bytes.copy model)
+          | Release i -> (
+            match !snaps with
+            | [] -> ()
+            | l ->
+              (* Released twice: the second release does nothing. *)
+              let snap, s, _ = List.nth l (i mod List.length l) in
+              Memory.release segs.(s) snap;
+              Memory.release segs.(s) snap;
+              snaps := List.filter (fun (other, _, _) -> other != snap) l;
+              if not (rejects segs.(s) snap) then
+                QCheck.Test.fail_reportf "a released snapshot was restored"));
           check (ck_op_to_string op))
         ops;
       (* A snapshot only restores into a segment of its own size, even
@@ -1113,7 +1132,7 @@ let prop_checkpoints_match_model =
       let more_pages = Memory.create ~base ~size:(ck_size + page_bytes) in
       let rejected =
         List.for_all
-          (fun (snap, _) -> rejects same_pages snap && rejects more_pages snap)
+          (fun (snap, _, _) -> rejects same_pages snap && rejects more_pages snap)
           !snaps
         && rejects segs.(0) (Memory.snapshot same_pages)
         && rejects segs.(1) (Memory.snapshot more_pages)

@@ -164,6 +164,43 @@ let test_checkpoint_copies_dirty_pages () =
   if words >= float_of_int bound then
     Alcotest.failf "checkpoint allocated %.0f words, bound %d" words bound
 
+let test_recycled_checkpoint_allocates_no_page () =
+  (* As the supervisor does at each accept: release the previous
+     checkpoint, then take the next. The pages a request dirtied go
+     into the released checkpoint's copies, so once warmed a checkpoint
+     allocates no major word (a 4 KiB copy is always a major block)
+     and, besides each variant's page table (a header and one word per
+     page), fewer words than one page. [Gc.minor_words] counts minor
+     words exactly; the major words allocated directly are major -
+     promoted. *)
+  let sys = build_deploy () in
+  let monitor = Nsystem.monitor sys in
+  let checkpoint = ref (Monitor.snapshot monitor) in
+  let serve_and_checkpoint path =
+    ignore (expect_200 path (Nsystem.serve sys (Http.get path)));
+    Monitor.release monitor !checkpoint;
+    checkpoint := Monitor.snapshot monitor
+  in
+  List.iter serve_and_checkpoint [ "/"; "/docs.html"; "/" ];
+  ignore (expect_200 "last serve" (Nsystem.serve sys benign));
+  let counts () =
+    let _, promoted, major = Gc.counters () in
+    (Gc.minor_words (), major -. promoted)
+  in
+  let minor0, major0 = counts () in
+  Monitor.release monitor !checkpoint;
+  checkpoint := Monitor.snapshot monitor;
+  let minor1, major1 = counts () in
+  let page_tables =
+    List.init (Monitor.variant_count monitor) (fun i ->
+        1 + (Memory.size (Monitor.loaded monitor i).Image.memory lsr Memory.page_shift))
+    |> List.fold_left ( + ) 0
+  in
+  Alcotest.(check (float 0.)) "major words" 0. (major1 -. major0);
+  let words = minor1 -. minor0 -. float_of_int page_tables in
+  if words >= 512. then
+    Alcotest.failf "checkpoint allocated %.0f words besides its page tables" words
+
 (* ------------------------------------------------------------------ *)
 (* The supervisor                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -544,6 +581,8 @@ let () =
           Alcotest.test_case "metrics monotonic" `Quick test_snapshot_preserves_metrics;
           Alcotest.test_case "checkpoint copies dirty pages" `Quick
             test_checkpoint_copies_dirty_pages;
+          Alcotest.test_case "recycled checkpoint allocates no page" `Quick
+            test_recycled_checkpoint_allocates_no_page;
         ] );
       ( "supervisor",
         [
