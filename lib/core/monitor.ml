@@ -73,7 +73,7 @@ type t = {
    a by-name lookup (they only occur on unknown-syscall attacks). *)
 let syscall_slots = 32
 
-let create ?metrics ?engine ?(segment_size = Variation.default_segment_size) ~kernel
+let create ?engine ?(segment_size = Variation.default_segment_size) ~kernel
     ~variation images =
   let n = Variation.count variation in
   if Array.length images <> n then
@@ -95,7 +95,7 @@ let create ?metrics ?engine ?(segment_size = Variation.default_segment_size) ~ke
         loaded)
       images
   in
-  let metrics = match metrics with Some m -> m | None -> Kernel.metrics kernel in
+  let metrics = Kernel.metrics kernel in
   let scope = Metrics.scope metrics "monitor" in
   let checks_scope = Metrics.sub scope "checks" in
   (* Chrome-export lanes: tid 0..n-1 = variants, n = coordinator,
@@ -922,9 +922,6 @@ let snapshot t =
     snap_images = Array.map Image.snapshot t.variants;
     snap_kernel = Kernel.snapshot t.kernel;
   }
-
-let release t snap =
-  Array.iteri (fun i s -> Image.release t.variants.(i) s) snap.snap_images
 
 let restore t snap =
   Array.iteri (fun i s -> Image.restore t.variants.(i) s) snap.snap_images;

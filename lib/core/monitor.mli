@@ -34,7 +34,6 @@ type event = {
 type t
 
 val create :
-  ?metrics:Nv_util.Metrics.t ->
   ?engine:Nv_vm.Memory.engine ->
   ?segment_size:int ->
   kernel:Nv_os.Kernel.t ->
@@ -47,9 +46,8 @@ val create :
     image per variant (pass the same image several times for
     non-data-diversity variations); the kernel must have been created
     with a matching [~variants] count. Default segment size 1 MiB; each
-    variant gets a 64 KiB stack.
-    [metrics] is the registry the monitor reports into; by default it
-    shares the kernel's, so one registry covers the whole system.
+    variant gets a 64 KiB stack. The monitor reports into the
+    kernel's registry, so one registry covers the whole system.
 
     [engine] pins every variant segment's execution tier
     ({!Nv_vm.Memory.engine}: the [Block] compiler or the [Reference]
@@ -98,10 +96,10 @@ val rendezvous_count : t -> int
 (** Syscall rendezvous points so far (each costs one monitor check). *)
 
 val metrics : t -> Nv_util.Metrics.t
-(** The registry this monitor reports into (shared with its kernel by
-    default). Monitor metrics: [monitor.rendezvous],
-    [monitor.calls.<name>], [monitor.checks.performed],
-    [monitor.checks.failed], [monitor.alarms.<label>],
+(** The registry this monitor reports into: its kernel's. Monitor
+    metrics: [monitor.rendezvous], [monitor.calls.<name>],
+    [monitor.checks.performed], [monitor.checks.failed],
+    [monitor.alarms.<label>],
     [monitor.latency_instr.<name>] (histogram of retired instructions
     between rendezvous), [monitor.input_bytes_replicated],
     [monitor.output_writes_checked] and [monitor.signals_delivered]. *)
@@ -219,18 +217,13 @@ val restore : t -> snapshot -> int
 (** Roll every variant and the kernel back to [snap]; returns the
     number of live connections dropped. Any pending signal is
     discarded and the latency baseline re-anchored. Each variant's
-    memory restore rewrites only the pages that differ from the
-    snapshot ({!Nv_vm.Memory.restore}): compiled blocks are dropped
-    there, to be rebuilt as the restored code runs, and kept everywhere
-    else. A snapshot may be restored any number of times until it is
-    released; restoring a released one raises [Invalid_argument] before
-    anything is rolled back. *)
-
-val release : t -> snapshot -> unit
-(** Give up a snapshot: every variant's page copies that nothing else
-    holds go back to its segment, to be reused by the next
-    {!snapshot} ({!Nv_vm.Image.release}). The kernel part holds no
-    buffers of its own. Releasing a snapshot again does nothing. *)
+    memory restore rewrites only the pages dirtied since the snapshot
+    ({!Nv_vm.Memory.restore}): compiled blocks are dropped there, to be
+    rebuilt as the restored code runs, and kept everywhere else. Each
+    variant keeps one checkpoint, so only the latest snapshot can be
+    restored, any number of times; restoring one that a later
+    {!snapshot} replaced raises [Invalid_argument] before anything is
+    rolled back. *)
 
 val set_input_fault : t -> (variant:int -> string -> string) option -> unit
 (** Install (or clear) a fault-injection hook on replicated input:

@@ -263,10 +263,10 @@ let xor_family ~seed n =
   assert_family "xor_family"
     (Array.init n (fun i -> if i = 0 then identity else xor_key ~key:keys.(i - 1)))
 
-let rotation_family ?(seed = 0x0D51_2009) n =
+let rotation_family n =
   if n < 1 then invalid_arg "Reexpression.rotation_family: need at least one variant";
   if n > 32 then invalid_arg "Reexpression.rotation_family: at most 32 rotations";
-  let prng = Prng.create ~seed in
+  let prng = Prng.create ~seed:0x0D51_2009 in
   let specs = Array.make n identity in
   for i = 1 to n - 1 do
     (* Greedy: pair rotation [i] with a key the GF(2) solver certifies

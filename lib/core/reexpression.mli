@@ -125,10 +125,10 @@ val xor_family : seed:int -> int -> t array
     defeats attacks that replay a key learned from the binary or a
     previous boot. *)
 
-val rotation_family : ?seed:int -> int -> t array
-(** Variant [i] is [rot_xor ~k:i ~key:ki] with [ki] found greedily and
-    certified [Proven] against every earlier variant by the GF(2)
-    solver. At most 32 variants. *)
+val rotation_family : int -> t array
+(** Variant [i] is [rot_xor ~k:i ~key:ki] with [ki] drawn greedily
+    from a fixed-seed key stream and certified [Proven] against every
+    earlier variant by the GF(2) solver. At most 32 variants. *)
 
 val rotation_only_family : int -> t array
 (** Variant [i] is the bare [rotate ~k:i] — deliberately {e not}

@@ -97,13 +97,11 @@ let record_event t kind =
 (* Checkpoints are only taken at [Blocked_on_accept]: every variant is
    parked at an equivalent rendezvous boundary with its pc rewound to
    the accept instruction, so a restore resumes the accept loop with no
-   half-performed syscall in flight. The supervisor is the replaced
-   checkpoint's only holder, so it releases it first: each page the
-   request dirtied then gives its old copy to the new checkpoint. *)
+   half-performed syscall in flight. The new checkpoint replaces the
+   old one in every variant's own page buffers. *)
 let maybe_checkpoint t =
   let now = Monitor.rendezvous_count t.monitor in
   if now - t.checkpoint_rv >= t.config.checkpoint_interval then begin
-    Monitor.release t.monitor t.checkpoint;
     t.checkpoint <- Monitor.snapshot t.monitor;
     t.checkpoint_rv <- now;
     Metrics.incr t.checkpoints_c;

@@ -9,9 +9,9 @@
 
     - a checkpoint of every variant plus the kernel is taken at
       {!Monitor.Blocked_on_accept} boundaries, every
-      [checkpoint_interval] rendezvous; the supervisor is the only
-      holder of the checkpoint it replaces and releases it first
-      ({!Monitor.release}), so the new one reuses its page buffers;
+      [checkpoint_interval] rendezvous, and replaces the last one in
+      each variant's own page buffers, so a warmed checkpoint copies
+      the pages the served requests dirtied and allocates no page;
     - on {!Monitor.Alarm} the system is rolled back to the last
       checkpoint, live connections (including the one that carried the
       attack) are dropped, and the accept loop resumes;

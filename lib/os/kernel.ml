@@ -52,10 +52,10 @@ type t = {
 (* One [calls_by_number] slot per syscall number in the ABI table. *)
 let call_slots = 1 + List.fold_left (fun m (n, _) -> Int.max m n) 0 Syscall.all
 
-let create ?metrics ?(fd_limit = 64) ~variants vfs =
+let create ?(fd_limit = 64) ~variants vfs =
   if variants < 1 then invalid_arg "Kernel.create: need at least one variant";
   if fd_limit <= listen_fd then invalid_arg "Kernel.create: fd_limit too small";
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let metrics = Metrics.create () in
   let scope = Metrics.scope metrics "kernel" in
   let io_scope = Metrics.sub scope "io" in
   let fds_scope = Metrics.sub scope "fds" in

@@ -16,13 +16,12 @@ type data =
   | Shared_data of string  (** one I/O result distributed to all variants *)
   | Per_variant of string array  (** index i belongs to variant i *)
 
-val create :
-  ?metrics:Nv_util.Metrics.t -> ?fd_limit:int -> variants:int -> Vfs.t -> t
+val create : ?fd_limit:int -> variants:int -> Vfs.t -> t
 (** A process booted as root, with fds 0/1/2 preopened (null stdin,
     captured stdout/stderr) and the listening socket preopened at
-    {!listen_fd}. [metrics] is the registry syscall/IO/fd metrics are
-    reported into (a fresh private registry by default); it is exposed
-    via {!metrics} so the monitor can share it. *)
+    {!listen_fd}. Syscall/IO/fd metrics are reported into a fresh
+    registry of its own, exposed via {!metrics} so the monitor can
+    share it. *)
 
 val listen_fd : int
 (** The fd (3) at which the listening socket is preopened; guests pass

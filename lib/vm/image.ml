@@ -78,9 +78,8 @@ type snapshot = { snap_cpu : Cpu.snapshot; snap_memory : Memory.snapshot }
 let snapshot { cpu; memory; _ } =
   { snap_cpu = Cpu.snapshot cpu; snap_memory = Memory.snapshot memory }
 
-(* Memory first: it refuses a released snapshot before anything moves. *)
+(* Memory first: it refuses a superseded snapshot before anything
+   moves. *)
 let restore { cpu; memory; _ } snap =
   Memory.restore memory snap.snap_memory;
   Cpu.restore cpu snap.snap_cpu
-
-let release { memory; _ } snap = Memory.release memory snap.snap_memory

@@ -54,21 +54,17 @@ val abs_symbol : loaded -> string -> int
 
 type snapshot
 (** A checkpoint of one loaded variant: the CPU's architectural state
-    ({!Cpu.snapshot}) plus the segment bytes ({!Memory.snapshot}, which
-    copies only the pages dirtied since the previous checkpoint, into
-    page buffers that released snapshots gave back when there are
-    any). The layout is immutable and not captured. *)
+    ({!Cpu.snapshot}) plus the segment's one checkpoint
+    ({!Memory.snapshot}, which copies only the pages dirtied since the
+    previous checkpoint, into each page's own buffer). Taking one
+    replaces the variant's previous snapshot. The layout is immutable
+    and not captured. *)
 
 val snapshot : loaded -> snapshot
 
 val restore : loaded -> snapshot -> unit
 (** Roll the variant back to the snapshot. The memory restore rewrites
-    only the pages that differ from the snapshot and drops the compiled
+    only the pages dirtied since the checkpoint and drops the compiled
     blocks on those pages only ({!Memory.restore}). Raises
-    [Invalid_argument] on a released snapshot, before touching the
-    variant. *)
-
-val release : loaded -> snapshot -> unit
-(** Give the snapshot's page copies back to the variant's segment for
-    reuse ({!Memory.release}); the snapshot can no longer be restored.
-    Releasing it again does nothing. *)
+    [Invalid_argument], before touching the variant, unless the
+    snapshot is the variant's latest. *)

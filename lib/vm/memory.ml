@@ -45,40 +45,33 @@ let page_mask = page_slots - 1
 let empty_page =
   { entries = Array.make page_slots no_entry; cover = Array.make page_slots 0 }
 
-(* A copy of one page's bytes, immutable while anything holds it.
-   [holders] counts the [clean] slots that equal it plus the unreleased
-   snapshots that contain it; a copy that drops to none goes back to a
-   free list, to be overwritten by the next snapshot. A segment's own
-   zero page is permanent: its count stays negative, so neither holding
-   nor dropping it counts. Every copy is a whole page long, so any
-   segment can recycle any copy. *)
-type copy = { bytes : Bytes.t; mutable holders : int }
+(* Every page's checkpoint buffer until a snapshot first copies the
+   page: a fresh segment is all zeros. It is shared by every segment and
+   never written. *)
+let zero_page = Bytes.make (1 lsl page_shift) '\000'
 
-let permanent = -1
+(* The source of snapshot tokens, shared by every segment so that a
+   token names one checkpoint of one segment; atomic because systems
+   run on several domains. 0 is never handed out. *)
+let tokens = Atomic.make 0
 
 type t = {
   base : int;
   size : int;
   data : Bytes.t;
   pages : page array;  (* the page directory: one entry per 4 KiB *)
-  (* Checkpoint state, one element per 4 KiB page: [clean.(i)] is a
-     copy that page [i] equals (its first [page_length] bytes) while
-     [dirty.(i)] is unset. Its physical identity is the page's version:
-     a snapshot shares it, and [restore] skips a clean page whose copy
-     is the snapshot's own. A fresh segment's pages all share its
-     permanent [zero] page, so another segment's snapshot never matches
-     a page it did not hand over. *)
-  clean : copy array;
+  (* The segment's one checkpoint, one buffer per 4 KiB page: page [i]
+     equals [clean.(i)] (its first [page_length] bytes) while
+     [dirty.(i)] is unset. [checkpoint] is the token of the snapshot
+     the buffers hold, 0 before the first. *)
+  clean : Bytes.t array;
   dirty : bool array;
-  zero : copy;
+  mutable checkpoint : int;
   (* The pages marked dirty since the last snapshot or restore, in the
-     first [dirty_count] slots: what the next snapshot copies. *)
+     first [dirty_count] slots: what the next snapshot copies and the
+     next restore rewrites. *)
   dirty_pages : int array;
   mutable dirty_count : int;
-  (* Copies nothing holds, in the first [free_count] slots (the rest
-     point at [zero]); at most one per page of the segment. *)
-  free : copy array;
-  mutable free_count : int;
   (* One byte per page, nonzero exactly while [dirty.(i)] is set and
      [pages.(i)] is [empty_page]: a store into such a page has no
      bookkeeping left to do, which compiled stores test before calling
@@ -94,19 +87,16 @@ let create ~base ~size =
   if base < 0 || size < 0 || base + size > 0x1_0000_0000 then
     invalid_arg "Memory.create: segment outside the 32-bit address space";
   let page_count = (size + (1 lsl page_shift) - 1) lsr page_shift in
-  let zero = { bytes = Bytes.make (1 lsl page_shift) '\000'; holders = permanent } in
   {
     base;
     size;
     data = Bytes.make size '\000';
     pages = Array.make page_count empty_page;
-    clean = Array.make page_count zero;
+    clean = Array.make page_count zero_page;
     dirty = Array.make page_count false;
-    zero;
+    checkpoint = 0;
     dirty_pages = Array.make page_count 0;
     dirty_count = 0;
-    free = Array.make page_count zero;
-    free_count = 0;
     settled = Bytes.make page_count '\000';
     engine = Block;
     block_invalidations = 0;
@@ -249,87 +239,41 @@ let invalidate_window t off len =
 (* Checkpointing                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type snapshot = {
-  snap_size : int;
-  snap_pages : copy array;
-  mutable released : bool;
-}
+type snapshot = int
 
 let page_length t i = Int.min (1 lsl page_shift) (t.size - (i lsl page_shift))
 
-let hold c = if c.holders <> permanent then c.holders <- c.holders + 1
-
-let drop t c =
-  if c.holders <> permanent then begin
-    c.holders <- c.holders - 1;
-    if c.holders = 0 && t.free_count < Array.length t.free then begin
-      t.free.(t.free_count) <- c;
-      t.free_count <- t.free_count + 1
-    end
-  end
-
-(* A copy for one holder: a recycled one if any, else a new page. *)
-let fresh_copy t =
-  if t.free_count = 0 then { bytes = Bytes.create (1 lsl page_shift); holders = 1 }
-  else begin
-    t.free_count <- t.free_count - 1;
-    let c = t.free.(t.free_count) in
-    t.free.(t.free_count) <- t.zero;
-    c.holders <- 1;
-    c
-  end
-
-(* Copy the pages dirtied since the last checkpoint; every other page
-   shares the copy it already equals. The old copy of a dirty page is
-   dropped first, so a copy nothing else holds is rewritten in place. *)
+(* Copy each page dirtied since the last checkpoint into its buffer, in
+   place; a page copied for the first time trades the zero page for a
+   buffer of its own. *)
 let snapshot t =
   for k = 0 to t.dirty_count - 1 do
     let i = t.dirty_pages.(k) in
-    drop t t.clean.(i);
-    let c = fresh_copy t in
-    Bytes.blit t.data (i lsl page_shift) c.bytes 0 (page_length t i);
-    t.clean.(i) <- c;
+    if t.clean.(i) == zero_page then t.clean.(i) <- Bytes.create (1 lsl page_shift);
+    Bytes.blit t.data (i lsl page_shift) t.clean.(i) 0 (page_length t i);
     t.dirty.(i) <- false;
     Bytes.set t.settled i '\000'
   done;
   t.dirty_count <- 0;
-  let pages = Array.copy t.clean in
-  for i = 0 to Array.length pages - 1 do
-    hold pages.(i)
-  done;
-  { snap_size = t.size; snap_pages = pages; released = false }
+  t.checkpoint <- Atomic.fetch_and_add tokens 1 + 1;
+  t.checkpoint
 
-let release t snap =
-  if not snap.released then begin
-    snap.released <- true;
-    for i = 0 to Array.length snap.snap_pages - 1 do
-      drop t snap.snap_pages.(i)
-    done
-  end
-
-(* Rewrite only the pages that may differ from the snapshot: dirty ones,
-   and clean ones holding another copy. [invalidate_window] over a
-   rewritten page retires every block that touches it, which leaves its
-   directory entry empty; pages left alone keep their registry, so blocks
-   on untouched code pages survive a rollback. Every dirty page is
-   rewritten, so none is left to list. *)
+(* Every page off the dirty list equals its buffer, so only the listed
+   pages are rewritten. [invalidate_window] over a rewritten page
+   retires every block that touches it, which leaves its directory
+   entry empty; pages left alone keep their registry, so blocks on
+   untouched code pages survive a rollback. *)
 let restore t snap =
-  if snap.snap_size <> t.size then
-    invalid_arg "Memory.restore: snapshot is for a different segment size";
-  if snap.released then invalid_arg "Memory.restore: snapshot was released";
-  for i = 0 to Array.length snap.snap_pages - 1 do
-    let c = snap.snap_pages.(i) in
-    if t.dirty.(i) || t.clean.(i) != c then begin
-      let off = i lsl page_shift and len = page_length t i in
-      Bytes.blit c.bytes 0 t.data off len;
-      invalidate_window t off len;
-      t.pages.(i) <- empty_page;
-      hold c;
-      drop t t.clean.(i);
-      t.clean.(i) <- c;
-      t.dirty.(i) <- false;
-      Bytes.set t.settled i '\000'
-    end
+  if snap <> t.checkpoint then
+    invalid_arg "Memory.restore: not the segment's current checkpoint";
+  for k = 0 to t.dirty_count - 1 do
+    let i = t.dirty_pages.(k) in
+    let off = i lsl page_shift and len = page_length t i in
+    Bytes.blit t.clean.(i) 0 t.data off len;
+    invalidate_window t off len;
+    t.pages.(i) <- empty_page;
+    t.dirty.(i) <- false;
+    Bytes.set t.settled i '\000'
   done;
   t.dirty_count <- 0
 

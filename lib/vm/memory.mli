@@ -31,41 +31,31 @@ val to_offset : t -> int -> int
     [Fault] if out of range. *)
 
 type snapshot
-(** A checkpoint of a segment's bytes, kept as one copy per 4 KiB page
-    (the base is not captured; a snapshot can only be restored into the
-    segment it was taken from, or one with the same size). Until it is
-    {!release}d it is immutable and can be restored any number of
-    times, in any order. *)
+(** A token for a segment's checkpoint. A segment keeps one checkpoint,
+    in a buffer of its own per 4 KiB page, and each {!snapshot}
+    replaces it: only the segment's latest snapshot can be restored,
+    and it can be restored any number of times. *)
 
 val snapshot : t -> snapshot
-(** Checkpoint the segment. Only the pages dirtied since the segment's
-    previous snapshot or restore are copied, from the list
-    {!invalidate_window} keeps of them; every other page is shared with
-    the earlier checkpoints that hold the same copy. A copy comes from
-    the segment's free list when it has one (see {!release}), so a
-    checkpoint that replaces a released one allocates no page. The cost
-    follows the pages the guest wrote, not the segment size. *)
-
-val release : t -> snapshot -> unit
-(** Give up a snapshot: each page copy that no other unreleased
-    snapshot and no page of a segment still holds goes to [t]'s free
-    list (at most one copy per page of [t]), to be overwritten by a
-    later {!snapshot}. Restoring a released snapshot raises
-    [Invalid_argument]; releasing it again does nothing. A snapshot
-    that is never released is reclaimed by the GC as before; only its
-    copies are never recycled. *)
+(** Checkpoint the segment, replacing its previous checkpoint. Only the
+    pages dirtied since the previous snapshot or restore are copied,
+    from the list {!invalidate_window} keeps of them, into each page's
+    own buffer; a page gets its buffer the first time it is copied
+    (until then it shares one zero page with every segment), so a
+    warmed snapshot allocates nothing. The cost follows the pages the
+    guest wrote, not the segment size. Tokens come from one
+    process-wide counter, so no two snapshots share one. *)
 
 val restore : t -> snapshot -> unit
-(** Roll the segment back to the snapshot. Only the pages that may
-    differ are rewritten: those dirtied since the last checkpoint, and
-    those holding a copy other than the snapshot's (every page, for a
-    snapshot of another segment). The block registry is dropped on
-    exactly those pages: their registered blocks are invalidated (and
-    counted in {!block_invalidations}) and their page-directory entries
-    released.
-    Compiled blocks on pages left alone stay valid. Raises
-    [Invalid_argument] on a segment-size mismatch or a released
-    snapshot, before touching the segment. *)
+(** Roll the segment back to its checkpoint. Raises [Invalid_argument]
+    before touching the segment unless the snapshot is the segment's
+    current one: a superseded snapshot, or any snapshot of another
+    segment, is refused. Only the pages dirtied since the checkpoint
+    or the last restore are rewritten, and the block registry is
+    dropped on exactly those pages: their registered blocks are
+    invalidated (and counted in {!block_invalidations}) and their
+    page-directory entries emptied. Compiled blocks on pages left
+    alone stay valid. *)
 
 val load_byte : t -> int -> int
 val store_byte : t -> int -> int -> unit

@@ -6,7 +6,8 @@ type row = { config : Deploy.config; demand : Measure.sample; cell : cell }
 
 let variants_of config = Nv_core.Variation.count (Deploy.variation config)
 
-let run ?(requests = 40) ?(seed = 7) () =
+let run ?(requests = 40) () =
+  let seed = 7 in
   let rec build = function
     | [] -> Ok []
     | config :: rest -> (

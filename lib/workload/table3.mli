@@ -9,9 +9,10 @@ type row = {
   cell : cell;
 }
 
-val run : ?requests:int -> ?seed:int -> unit -> (row list, string) result
+val run : ?requests:int -> unit -> (row list, string) result
 (** Build each configuration, measure [requests] real requests through
-    it, then simulate both load points under {!Cost_model.default}. *)
+    it, then simulate both load points under {!Cost_model.default}, all
+    on one fixed seed. *)
 
 val render : row list -> string
 (** The paper-style table (configurations as columns, throughput and

@@ -36,8 +36,9 @@
      contain staging sequences too.
    - qcheck properties pin the block registry's invalidation contract
      (a store intersecting a registered span flips its validity cell),
-     the sliced-run equivalence, and incremental checkpoints with
-     released, recycled page copies against a full-copy model.
+     the sliced-run equivalence, and incremental checkpoints, one per
+     segment, against a full-copy model that also offers each segment
+     superseded and foreign snapshots.
    - A pinned regression asserts the bench report's demand/monitor
      counters equal constants the fast paths must never move. *)
 
@@ -282,14 +283,13 @@ let test_fetch_matches_bytewise () =
    (jmpr through small scratch values). Every slice must leave both
    engines in bit-identical architectural state.
 
-   With [~restore], the reference machine is checkpointed before the
-   first slice and both are rolled back to it once, at a random slice
-   or when the run first stops, then run on. The block segment never
-   took a snapshot of its own, so none of its pages holds the
-   checkpoint's copy and the restore rewrites them all: it must drop
-   every compiled block and registry page with the rollback (the program
-   may have rewritten its own code since the checkpoint) and still agree
-   with the reference. *)
+   With [~restore], each machine is checkpointed on its own segment
+   before the first slice and both are rolled back once, at a random
+   slice or when the run first stops, then run on. Each restore
+   rewrites only the pages its machine dirtied, and must retire the
+   compiled blocks on them (the program may have rewritten its own code
+   since the checkpoint) for the block machine to keep agreeing with
+   the reference. *)
 let outcome_to_string = function
   | Cpu.Trapped trap -> trap_to_string (Some trap)
   | Cpu.Out_of_fuel -> "out of fuel"
@@ -299,20 +299,20 @@ let run_differential_engines ?(restore = false) ~seed ~slices () =
   let program = gen_program prng in
   let ref_cpu, ref_mem = build_cpu ~engine:Memory.Reference program in
   let bl_cpu, bl_mem = build_cpu ~engine:Memory.Block program in
-  let checkpoint = (Cpu.snapshot ref_cpu, Memory.snapshot ref_mem) in
+  let checkpoints =
+    List.map
+      (fun (cpu, mem) -> (cpu, mem, Cpu.snapshot cpu, Memory.snapshot mem))
+      [ (ref_cpu, ref_mem); (bl_cpu, bl_mem) ]
+  in
   let restore_at = if restore then Prng.int prng slices else -1 in
   let restored = ref (not restore) in
   let roll_back () =
     restored := true;
-    let cpu_snap, mem_snap = checkpoint in
     List.iter
-      (fun (cpu, mem) ->
+      (fun (cpu, mem, cpu_snap, mem_snap) ->
         Cpu.restore cpu cpu_snap;
-        Memory.restore mem mem_snap;
-        Alcotest.(check int)
-          (Printf.sprintf "seed %d: restore drops every decoded page" seed)
-          0 (Memory.decoded_pages mem))
-      [ (ref_cpu, ref_mem); (bl_cpu, bl_mem) ]
+        Memory.restore mem mem_snap)
+      checkpoints
   in
   let rec go slice =
     if slice < slices then begin
@@ -897,18 +897,17 @@ let prop_engines_agree_across_restore =
 (* qcheck property: checkpoints against a full-copy model              *)
 (* ------------------------------------------------------------------ *)
 
-(* Two segments of one size, with a partial last page, share one base
-   so snapshots and guest code move freely between them. Each has a
+(* Two segments of one size, with a partial last page, share one base,
+   so each could take the other's snapshot for its own. Each has a
    [Bytes] model that every operation updates by full copies; after
    every operation both segments must equal their models. Incremental
    checkpoints are then invisible: a snapshot that missed a dirtied page
    or a restore that skipped a changed one shows up as a byte
    difference, and a compiled block that survived a rollback of its
-   code shows up when the guest re-runs. Releases recycle page copies:
-   one recycled while another snapshot or a segment still holds it is
-   overwritten by a later snapshot, which shows up as a byte difference
-   when that holder is restored or snapshotted. A released snapshot
-   must refuse to restore. *)
+   code shows up when the guest re-runs. A segment keeps one
+   checkpoint: restoring any snapshot but its latest (an older one, or
+   the other segment's) must raise and leave the segment as it was, and
+   a fresh segment must refuse every snapshot. *)
 let ck_size = (3 * page_bytes) + 100
 
 (* The guest: one store of each kind the block compiler inlines, each
@@ -948,8 +947,9 @@ type ck_op =
   | Store_bytes of int * int * int * int  (* segment, offset, length, fill seed *)
   | Guest of int * guest
   | Snapshot of int
-  | Restore of int * int  (* segment, index of an earlier snapshot *)
-  | Release of int  (* index of an earlier snapshot *)
+  | Restore of int * int
+      (* segment, and 0 for its latest snapshot or 1 + the index of any
+         earlier snapshot, newest first *)
 
 let ck_op_to_string = function
   | Store_byte (s, o, v) -> Printf.sprintf "store_byte %d @%d %d" s o v
@@ -963,8 +963,8 @@ let ck_op_to_string = function
       (if g.g_write then " (written)" else "")
       g.g_word g.g_byte g.g_push_sp g.g_call_sp g.g_value g.g_offset
   | Snapshot s -> Printf.sprintf "snapshot %d" s
-  | Restore (s, i) -> Printf.sprintf "restore %d <- #%d" s i
-  | Release i -> Printf.sprintf "release #%d" i
+  | Restore (s, 0) -> Printf.sprintf "restore %d <- its latest" s
+  | Restore (s, i) -> Printf.sprintf "restore %d <- #%d" s (i - 1)
 
 let ck_op_gen =
   let open QCheck.Gen in
@@ -1013,8 +1013,8 @@ let ck_op_gen =
         map2 (fun o seed -> Store_bytes (s, o, n, seed)) (offset ~room:n) (int_bound 255) );
       (4, map2 (fun s g -> Guest (s, g)) seg guest);
       (3, map (fun s -> Snapshot s) seg);
-      (3, map2 (fun s i -> Restore (s, i)) seg (int_bound 50));
-      (2, map (fun i -> Release i) (int_bound 50));
+      (2, map (fun s -> Restore (s, 0)) seg);
+      (2, map2 (fun s i -> Restore (s, 1 + i)) seg (int_bound 50));
     ]
 
 (* Run one guest on [cpu] (block engine) and on a fresh reference
@@ -1071,15 +1071,25 @@ let prop_checkpoints_match_model =
       in
       let cpus = Array.map (fun m -> Cpu.create m ~pc:base ~sp:(base + ck_size)) segs in
       let models = Array.init 2 (fun _ -> Bytes.make ck_size '\000') in
-      (* Every snapshot taken and not released, newest first, with the
-         segment that took it and its model. *)
-      let snaps = ref [] in
+      (* Every snapshot taken, newest first, with its model;
+         [latest.(s)] is segment [s]'s newest, the one it can
+         restore. *)
+      let snaps = ref [] and latest = Array.make 2 None in
       let check after =
         Array.iteri
           (fun s m ->
             if not (Bytes.equal (contents m) models.(s)) then
               QCheck.Test.fail_reportf "segment %d differs from its model after %s" s after)
           segs
+      in
+      let restore s ((snap, model) as taken) =
+        match latest.(s) with
+        | Some newest when newest == taken ->
+          Memory.restore segs.(s) snap;
+          models.(s) <- Bytes.copy model
+        | _ ->
+          if not (rejects segs.(s) snap) then
+            QCheck.Test.fail_reportf "segment %d restored a snapshot other than its latest" s
       in
       List.iter
         (fun op ->
@@ -1105,40 +1115,20 @@ let prop_checkpoints_match_model =
             end;
             models.(s) <- run_guest cpus.(s) models.(s) g
           | Snapshot s ->
-            snaps := (Memory.snapshot segs.(s), s, Bytes.copy models.(s)) :: !snaps
+            let taken = (Memory.snapshot segs.(s), Bytes.copy models.(s)) in
+            snaps := taken :: !snaps;
+            latest.(s) <- Some taken
+          | Restore (s, 0) -> Option.iter (restore s) latest.(s)
           | Restore (s, i) -> (
             match !snaps with
             | [] -> ()
-            | l ->
-              let snap, _, model = List.nth l (i mod List.length l) in
-              Memory.restore segs.(s) snap;
-              models.(s) <- Bytes.copy model)
-          | Release i -> (
-            match !snaps with
-            | [] -> ()
-            | l ->
-              (* Released twice: the second release does nothing. *)
-              let snap, s, _ = List.nth l (i mod List.length l) in
-              Memory.release segs.(s) snap;
-              Memory.release segs.(s) snap;
-              snaps := List.filter (fun (other, _, _) -> other != snap) l;
-              if not (rejects segs.(s) snap) then
-                QCheck.Test.fail_reportf "a released snapshot was restored"));
+            | l -> restore s (List.nth l ((i - 1) mod List.length l))));
           check (ck_op_to_string op))
         ops;
-      (* A snapshot only restores into a segment of its own size, even
-         one with the same page count. *)
-      let same_pages = Memory.create ~base ~size:(ck_size - 1) in
-      let more_pages = Memory.create ~base ~size:(ck_size + page_bytes) in
-      let rejected =
-        List.for_all
-          (fun (snap, _, _) -> rejects same_pages snap && rejects more_pages snap)
-          !snaps
-        && rejects segs.(0) (Memory.snapshot same_pages)
-        && rejects segs.(1) (Memory.snapshot more_pages)
-      in
+      let fresh = Memory.create ~base ~size:ck_size in
+      let rejected = List.for_all (fun (snap, _) -> rejects fresh snap) !snaps in
       check "the rejected restores";
-      rejected)
+      rejected && Bytes.equal (contents fresh) (Bytes.make ck_size '\000'))
 
 (* ------------------------------------------------------------------ *)
 (* Pinned bench counters                                               *)

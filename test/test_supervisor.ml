@@ -25,6 +25,8 @@ module Cpu = Nv_vm.Cpu
 module Memory = Nv_vm.Memory
 module Image = Nv_vm.Image
 module Metrics = Nv_util.Metrics
+module Kernel = Nv_os.Kernel
+module Vfs = Nv_os.Vfs
 
 (* ------------------------------------------------------------------ *)
 (* Harness (mirrors test_differential.ml)                              *)
@@ -137,24 +139,73 @@ let test_snapshot_preserves_metrics () =
   Alcotest.(check bool) "instruction counter not rolled back" true
     (retired_before = retired_after && retired_before <> Some 0)
 
+let test_only_latest_snapshot_restores () =
+  (* Each variant keeps one checkpoint, and every snapshot replaces it.
+     Restoring a superseded snapshot raises before anything moves: no
+     variant's registers or memory, no file and no descriptor. The
+     latest one restores, any number of times. *)
+  let sys = build_deploy () in
+  let monitor = Nsystem.monitor sys and kernel = Nsystem.kernel sys in
+  let path = "/var/log/httpd.log" in
+  let log () =
+    match Vfs.contents (Kernel.vfs kernel) ~path with
+    | Ok c -> c
+    | Error _ -> Alcotest.failf "%s missing" path
+  in
+  ignore (expect_200 "first serve" (Nsystem.serve sys benign));
+  let superseded = Monitor.snapshot monitor in
+  ignore (expect_200 "second serve" (Nsystem.serve sys benign));
+  let latest = Monitor.snapshot monitor in
+  let at_latest = variant_state sys and log_at_latest = log () in
+  ignore (expect_200 "docs serve" (Nsystem.serve sys (Http.get "/docs.html")));
+  (* A descriptor opened since, and read into: a kernel rollback would
+     free it. *)
+  let fd = Kernel.sys_open kernel ~path ~flags:0 in
+  ignore (Kernel.sys_read kernel ~fd ~len:4);
+  let state = variant_state sys and contents = log () in
+  (match Monitor.restore monitor superseded with
+  | _ -> Alcotest.fail "a superseded snapshot was restored"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check string) "registers and memory untouched" state (variant_state sys);
+  Alcotest.(check string) "log untouched" contents (log ());
+  (match Kernel.sys_read kernel ~fd ~len:4 with
+  | 4, Kernel.Shared_data data ->
+    Alcotest.(check string) "descriptor open at its position" (String.sub contents 4 4) data
+  | _ -> Alcotest.fail "the descriptor was closed");
+  for _ = 1 to 2 do
+    ignore (Monitor.restore monitor latest : int);
+    Alcotest.(check string) "rolled back to the latest" at_latest (variant_state sys);
+    Alcotest.(check string) "log rolled back" log_at_latest (log ())
+  done
+
+(* The words [f] allocates: minor words, read with [Gc.minor_words]
+   ([Gc.counters] under-counts them on OCaml 5.1), and the major words
+   allocated directly, major - promoted, so a promoted block is not
+   counted twice. A 4 KiB page buffer is always a major block. *)
+let allocation f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    (Gc.minor_words (), major -. promoted)
+  in
+  let minor0, major0 = words () in
+  f ();
+  let minor1, major1 = words () in
+  (minor1 -. minor0, major1 -. major0)
+
 let test_checkpoint_copies_dirty_pages () =
   (* A checkpoint after one served request copies the few pages the
      request dirtied, not the two 1 MiB segments: it must allocate less
-     than a sixteenth of them. Words allocated = minor + major -
-     promoted, so a copy that is promoted is not counted twice. *)
+     than a sixteenth of them. *)
   let sys = build_deploy () in
   let monitor = Nsystem.monitor sys in
   ignore (expect_200 "first serve" (Nsystem.serve sys benign));
   ignore (expect_200 "second serve" (Nsystem.serve sys benign));
   ignore (Monitor.snapshot monitor : Monitor.snapshot);
   ignore (expect_200 "docs serve" (Nsystem.serve sys (Http.get "/docs.html")));
-  let allocated () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+  let minor, major =
+    allocation (fun () -> ignore (Monitor.snapshot monitor : Monitor.snapshot))
   in
-  let before = allocated () in
-  ignore (Monitor.snapshot monitor : Monitor.snapshot);
-  let words = allocated () -. before in
+  let words = minor +. major in
   let segment_bytes =
     List.init (Monitor.variant_count monitor) (fun i ->
         Memory.size (Monitor.loaded monitor i).Image.memory)
@@ -164,42 +215,51 @@ let test_checkpoint_copies_dirty_pages () =
   if words >= float_of_int bound then
     Alcotest.failf "checkpoint allocated %.0f words, bound %d" words bound
 
-let test_recycled_checkpoint_allocates_no_page () =
-  (* As the supervisor does at each accept: release the previous
-     checkpoint, then take the next. The pages a request dirtied go
-     into the released checkpoint's copies, so once warmed a checkpoint
-     allocates no major word (a 4 KiB copy is always a major block)
-     and, besides each variant's page table (a header and one word per
-     page), fewer words than one page. [Gc.minor_words] counts minor
-     words exactly; the major words allocated directly are major -
-     promoted. *)
+let test_warmed_memory_snapshot_allocates_nothing () =
+  (* Once every page it copies has a buffer of its own, a snapshot
+     copies into the buffers in place and takes its token from a
+     counter. A thousand snapshots, each after stores to four pages,
+     allocate fewer words than snapshots (the difference is the
+     counters' own boxes), so none allocates a word. *)
+  let base = 0x10000 and pages = 4 in
+  let memory = Memory.create ~base ~size:(pages lsl Memory.page_shift) in
+  let dirty k =
+    for p = 0 to pages - 1 do
+      Memory.store_word memory (base + (p lsl Memory.page_shift) + 8) k
+    done
+  in
+  dirty 0;
+  ignore (Memory.snapshot memory : Memory.snapshot);
+  let snapshots = 1000 in
+  let minor, major =
+    allocation (fun () ->
+        for k = 1 to snapshots do
+          dirty k;
+          ignore (Memory.snapshot memory : Memory.snapshot)
+        done)
+  in
+  if minor +. major >= float_of_int snapshots then
+    Alcotest.failf "%d snapshots allocated %.0f words" snapshots (minor +. major)
+
+let test_warmed_checkpoint_allocates_no_page () =
+  (* As the supervisor does at each accept: serve, then checkpoint. The
+     pages a request dirtied are copied into their own buffers, so once
+     warmed a whole-monitor checkpoint allocates no major word and
+     fewer minor words than one page: its records, each CPU's registers
+     and the kernel's files by reference. *)
   let sys = build_deploy () in
   let monitor = Nsystem.monitor sys in
-  let checkpoint = ref (Monitor.snapshot monitor) in
-  let serve_and_checkpoint path =
-    ignore (expect_200 path (Nsystem.serve sys (Http.get path)));
-    Monitor.release monitor !checkpoint;
-    checkpoint := Monitor.snapshot monitor
-  in
-  List.iter serve_and_checkpoint [ "/"; "/docs.html"; "/" ];
+  let checkpoint () = ignore (Monitor.snapshot monitor : Monitor.snapshot) in
+  checkpoint ();
+  List.iter
+    (fun path ->
+      ignore (expect_200 path (Nsystem.serve sys (Http.get path)));
+      checkpoint ())
+    [ "/"; "/docs.html"; "/" ];
   ignore (expect_200 "last serve" (Nsystem.serve sys benign));
-  let counts () =
-    let _, promoted, major = Gc.counters () in
-    (Gc.minor_words (), major -. promoted)
-  in
-  let minor0, major0 = counts () in
-  Monitor.release monitor !checkpoint;
-  checkpoint := Monitor.snapshot monitor;
-  let minor1, major1 = counts () in
-  let page_tables =
-    List.init (Monitor.variant_count monitor) (fun i ->
-        1 + (Memory.size (Monitor.loaded monitor i).Image.memory lsr Memory.page_shift))
-    |> List.fold_left ( + ) 0
-  in
-  Alcotest.(check (float 0.)) "major words" 0. (major1 -. major0);
-  let words = minor1 -. minor0 -. float_of_int page_tables in
-  if words >= 512. then
-    Alcotest.failf "checkpoint allocated %.0f words besides its page tables" words
+  let minor, major = allocation checkpoint in
+  Alcotest.(check (float 0.)) "major words" 0. major;
+  if minor >= 512. then Alcotest.failf "checkpoint allocated %.0f words" minor
 
 (* ------------------------------------------------------------------ *)
 (* The supervisor                                                      *)
@@ -581,8 +641,12 @@ let () =
           Alcotest.test_case "metrics monotonic" `Quick test_snapshot_preserves_metrics;
           Alcotest.test_case "checkpoint copies dirty pages" `Quick
             test_checkpoint_copies_dirty_pages;
-          Alcotest.test_case "recycled checkpoint allocates no page" `Quick
-            test_recycled_checkpoint_allocates_no_page;
+          Alcotest.test_case "warmed checkpoint allocates no page" `Quick
+            test_warmed_checkpoint_allocates_no_page;
+          Alcotest.test_case "only the latest snapshot restores" `Quick
+            test_only_latest_snapshot_restores;
+          Alcotest.test_case "warmed memory snapshot allocates nothing" `Quick
+            test_warmed_memory_snapshot_allocates_nothing;
         ] );
       ( "supervisor",
         [
